@@ -91,9 +91,7 @@ class DistServeDecodeInstance(Instance):
             self.start_decoding(request, lane)
         if not lane.running:
             return None
-        timing = self.latency.decode(
-            len(lane.running), sum(r.context_tokens for r in lane.running)
-        )
+        timing = self.latency.decode(len(lane.running), lane.context)
         return Batch(
             "decode", timing.duration, decode_requests=list(lane.running), timing=timing
         )

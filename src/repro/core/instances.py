@@ -119,11 +119,10 @@ class WindServePrefillInstance(Instance):
                     transfer_launched = True
 
         if decode_requests:
-            sum_context = sum(r.context_tokens for r in decode_requests)
             timing = self.latency.hybrid(
                 chunk_tokens,
                 len(decode_requests),
-                sum_context,
+                lane.context,
                 prefill_prior_context=prior_context,
             )
             duration = timing.duration
@@ -185,8 +184,7 @@ class WindServeDecodeInstance(Instance):
 
     def current_decode_load(self) -> tuple[int, int]:
         """(batch size, summed context) of all running decode requests."""
-        running = self.running_requests
-        return len(running), sum(r.context_tokens for r in running)
+        return self.total_running, sum(lane.context for lane in self.lanes)
 
     def _form_batch(self, lane: Lane) -> Optional[Batch]:
         # "hybrid" co-location (the no-split ablation): assist prefills fold
@@ -207,10 +205,9 @@ class WindServeDecodeInstance(Instance):
         if assist_request is None and not lane.running:
             return None
 
-        sum_context = sum(r.context_tokens for r in lane.running)
         if assist_request is not None:
             timing = self.latency.hybrid(
-                assist_request.prompt_tokens, len(lane.running), sum_context
+                assist_request.prompt_tokens, len(lane.running), lane.context
             )
             self.metrics.bump("prefill_tokens_computed", assist_request.prompt_tokens)
             return Batch(
@@ -222,7 +219,7 @@ class WindServeDecodeInstance(Instance):
                 timing=timing,
             )
 
-        timing = self.latency.decode(len(lane.running), sum_context)
+        timing = self.latency.decode(len(lane.running), lane.context)
         duration = timing.duration
         kind = "decode"
         if mode == "static-partition":

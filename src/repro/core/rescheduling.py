@@ -144,7 +144,7 @@ class MigrationManager:
         decode = system.decode_instance
         for lane in decode.lanes:
             if request in lane.running:
-                lane.running.remove(request)
+                lane.remove(request)
                 break
         if request in decode.swapped:
             decode.swapped.remove(request)

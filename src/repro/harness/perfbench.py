@@ -405,6 +405,21 @@ def trajectory_files(root: Path) -> list[tuple[int, Path]]:
             out.append((int(match.group(1)), path))
     return sorted(out)
 
+
+def fingerprint_changes(prev: dict, cur: dict) -> list[str]:
+    """Names of the phases both payloads ran whose fingerprints differ.
+
+    A speed-only change must leave this empty against the previous
+    trajectory point; phases present in only one payload are ignored.
+    """
+    before = {row["name"]: row["fingerprint"] for row in prev["phases"]}
+    return [
+        row["name"]
+        for row in cur["phases"]
+        if row["name"] in before and before[row["name"]] != row["fingerprint"]
+    ]
+
+
 def next_bench_path(root: Path) -> Path:
     """The next free ``BENCH_<n>.json`` slot under ``root``."""
     recorded = trajectory_files(root)

@@ -5,6 +5,16 @@ the paper adopts).  The manager tracks, per request, how many tokens are
 cached and where the blocks live (GPU or swapped to CPU DRAM).  All
 accounting is instance-level: an instance's pool aggregates the KV budget of
 its GPUs, since KV tensors shard evenly across TP/PP ranks.
+
+Decode fast path.  A decode step appends one token per running request, and
+with ``block_size`` tokens per block only one step in ``block_size`` crosses
+a block boundary.  The contract (:meth:`KVBlockManager.appends_in_place`):
+while an allocation is on GPU and ``alloc.tokens < alloc.blocks *
+block_size``, ``extend(request_id, 1)`` reserves no block and reduces to
+``alloc.tokens += 1``, so a hot loop may bump ``tokens`` in place on the
+object from :attr:`KVBlockManager.allocations`.  Every other case (block
+boundary, no allocation, swapped to CPU) must go through
+``can_extend``/``extend``.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.hardware.memory import MemoryPool, OutOfMemoryError
 
@@ -105,6 +116,20 @@ class KVBlockManager:
 
     def get(self, request_id: int) -> KVAllocation:
         return self._allocations[request_id]
+
+    @property
+    def allocations(self) -> Mapping[int, KVAllocation]:
+        """Live allocations by request id; read-only except for the
+        in-place token bump :meth:`appends_in_place` permits."""
+        return self._allocations
+
+    def appends_in_place(self, alloc: KVAllocation) -> bool:
+        """Whether appending one token to ``alloc`` needs no new block, so
+        ``alloc.tokens += 1`` is exactly ``extend(alloc.request_id, 1)``."""
+        return (
+            alloc.location is BlockLocation.GPU
+            and alloc.tokens < alloc.blocks * self.block_size
+        )
 
     def tokens_of(self, request_id: int) -> int:
         alloc = self._allocations.get(request_id)

@@ -34,10 +34,6 @@ class Batch:
     def decode_batch_size(self) -> int:
         return len(self.decode_requests)
 
-    @property
-    def sum_context(self) -> int:
-        return sum(r.context_tokens for r in self.decode_requests)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Batch({self.kind}, prefill={len(self.prefill_requests)}r/"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.hardware.gpu import GB, GPUSpec
-from repro.kvcache.blocks import KVBlockManager
+from repro.kvcache.blocks import BlockLocation, KVBlockManager
 from repro.kvcache.transfer import KVTransferEngine
 from repro.models.parallelism import ParallelConfig
 from repro.models.spec import ModelSpec
@@ -56,21 +56,31 @@ class InstanceConfig:
     # shared-prefix KV this instance may keep resident.  0 (the default)
     # disables the cache entirely, keeping prefix-free runs byte-identical.
     prefix_cache_tokens: int = 0
-    # Fold steady-state batch ticks into the completing callback's frame
-    # instead of one heap event per iteration.  Exact by construction (see
-    # Instance._drain_inline); the switch exists so regression tests can
-    # compare against the per-event path.
-    coalesce_ticks: bool = True
 
 
 class Lane:
-    """One pipeline interleave slot: runs one batch at a time."""
+    """One pipeline interleave slot: runs one batch at a time.
+
+    ``running`` is read-only outside this class: membership changes go
+    through :meth:`add`/:meth:`remove`/:meth:`clear`, which keep
+    ``members`` (the same requests as a set, for O(1) membership tests)
+    and ``context`` (the summed ``context_tokens`` of ``running``) exact,
+    so batch formers read the decode context in O(1).  The only other writer
+    of ``context`` is :meth:`Instance.finish_decode_iteration`, which adds
+    one per token it appends to a running request.
+    """
+
+    __slots__ = (
+        "index", "busy", "busy_until", "running", "members", "context", "current_batch"
+    )
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.busy = False
         self.busy_until = 0.0
         self.running: list[Request] = []
+        self.members: set[Request] = set()
+        self.context = 0
         # The batch in flight; pure-prefill batch members may live in no
         # other pool, so crash handling must be able to find them here.
         self.current_batch: Optional[Batch] = None
@@ -78,6 +88,21 @@ class Lane:
     @property
     def batch_size(self) -> int:
         return len(self.running)
+
+    def add(self, request: Request) -> None:
+        self.running.append(request)
+        self.members.add(request)
+        self.context += request.context_tokens
+
+    def remove(self, request: Request) -> None:
+        self.running.remove(request)
+        self.members.discard(request)
+        self.context -= request.context_tokens
+
+    def clear(self) -> None:
+        self.running.clear()
+        self.members.clear()
+        self.context = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Lane({self.index}, busy={self.busy}, running={len(self.running)})"
@@ -243,11 +268,6 @@ class Instance:
         # ``* 1.0`` is bit-exact: healthy runs are byte-identical to runs
         # without the straggler machinery.
         duration = batch.duration * self.compute_slowdown
-        self._begin_batch(lane, batch, duration)
-        self.sim.schedule(duration, self._complete, lane, batch, self.epoch)
-
-    def _begin_batch(self, lane: Lane, batch: Batch, duration: float) -> None:
-        """Batch-launch bookkeeping shared by the scheduled and inline paths."""
         lane.busy = True
         lane.current_batch = batch
         lane.busy_until = self.sim.now + duration
@@ -268,6 +288,7 @@ class Instance:
             decode_batch=batch.decode_batch_size,
             duration=duration,
         )
+        self.sim.schedule(duration, self._complete, lane, batch, self.epoch)
 
     def _complete(self, lane: Lane, batch: Batch, epoch: Optional[int] = None) -> None:
         if epoch is not None and epoch != self.epoch:
@@ -277,59 +298,7 @@ class Instance:
         if self.halted or self.failed:
             return  # the node died mid-batch; results are lost
         self._on_batch_complete(lane, batch)
-        if self.config.coalesce_ticks:
-            self._drain_inline(lane)
         self.kick()
-
-    def _drain_inline(self, lane: Lane) -> None:
-        """Run this lane's next batches inside the current callback frame.
-
-        Steady-state decode is one completion event per iteration; at scale
-        that dominates the heap.  This loop folds consecutive iterations of
-        a single lane into the completing event, *only* when doing so is
-        provably indistinguishable from scheduling:
-
-        * the instance could immediately start this lane's next batch
-          anyway (not halted/paused, nothing swapped out, every other lane
-          busy — so the ensuing ``kick()`` would reach ``_form_batch`` for
-          exactly this lane with no other side effects), and
-        * no other pending event could fire at or before the batch's
-          completion time, and the run horizon / event budget would not
-          stop the loop first (:meth:`Simulator.can_advance_inline`).
-
-        The clock arithmetic, ``events_processed`` count, trace rows, and
-        metrics calls are exactly those of the scheduled path, so run
-        fingerprints — and the recorded goldens — are byte-identical.
-        When the equivalence check fails after a batch was already formed,
-        the batch is executed through the normal scheduled path
-        (``_form_batch`` has side effects and must not be re-run).
-        """
-        sim = self.sim
-        while True:
-            if self.halted or self.failed or lane.busy:
-                return
-            if sim.now < self.paused_until - 1e-12:
-                return
-            if self.swapped:
-                return  # kick() must run _try_swap_in first
-            for other in self.lanes:
-                if other is not lane and not other.busy:
-                    return  # kick() owes the other idle lanes a scan
-            batch = self._form_batch(lane)
-            if batch is None:
-                return
-            duration = batch.duration * self.compute_slowdown
-            if not sim.can_advance_inline(duration):
-                self._begin_batch(lane, batch, duration)
-                sim.schedule(duration, self._complete, lane, batch, self.epoch)
-                return
-            self._begin_batch(lane, batch, duration)
-            sim.advance_inline(duration)
-            lane.busy = False
-            lane.current_batch = None
-            if self.halted or self.failed:
-                return
-            self._on_batch_complete(lane, batch)
 
     # -- policy hooks (subclasses override) -----------------------------------------
 
@@ -348,21 +317,46 @@ class Instance:
         """Place a request (whose KV is resident here) into a decode lane."""
         target = lane or self.least_loaded_lane()
         request.phase = Phase.DECODING
-        target.running.append(request)
+        target.add(request)
 
     def finish_decode_iteration(self, lane: Lane, batch: Batch) -> None:
         """Apply the results of one decode iteration: grow KV, emit tokens,
-        retire finished requests, preempt under memory pressure."""
+        retire finished requests, preempt under memory pressure.
+
+        Requests are visited in batch order.  A token that fits the
+        request's last KV block is appended in place (the
+        :meth:`KVBlockManager.appends_in_place` contract, inlined); only a
+        block-boundary crossing takes :meth:`_grow_kv`, at the same loop
+        position, so preemption victims are chosen against the same state.
+        ``_grow_kv`` and ``_retire`` can reach listeners that replace
+        ``self.kv``, so the allocation map is re-read after each.
+        """
         now = self.sim.now
-        for request in list(batch.decode_requests):
-            if request not in lane.running:
+        members = lane.members
+        allocations = self.kv.allocations
+        block_size = self.config.block_size
+        gpu = BlockLocation.GPU
+        for request in batch.decode_requests:
+            if request not in members:
                 continue  # migrated or preempted mid-flight
-            if not self._grow_kv(lane, request):
-                continue  # the request itself was preempted to CPU swap
+            alloc = allocations.get(request.request_id)
+            if (
+                alloc is not None
+                and alloc.tokens < alloc.blocks * block_size
+                and alloc.location is gpu
+            ):
+                alloc.tokens += 1
+            else:
+                grown = self._grow_kv(lane, request)
+                allocations = self.kv.allocations
+                if not grown:
+                    continue  # the request itself was preempted to CPU swap
             request.output_generated += 1
-            if request.decode_iterations_remaining <= 0:
-                lane.running.remove(request)
+            lane.context += 1
+            if request.output_generated >= request.output_tokens:
+                lane.remove(request)
                 self._retire(request, now)
+                allocations = self.kv.allocations
 
     def _grow_kv(self, lane: Lane, request: Request) -> bool:
         """Reserve KV for the request's next token, preempting if needed.
@@ -394,7 +388,7 @@ class Instance:
         """Drop the victim's KV and requeue it for a full re-prefill."""
         for lane in self.lanes:
             if victim in lane.running:
-                lane.running.remove(victim)
+                lane.remove(victim)
                 break
         self.kv.free(victim.request_id)
         victim.restart_prefill()
@@ -431,7 +425,7 @@ class Instance:
     def _swap_out(self, victim: Request) -> None:
         for lane in self.lanes:
             if victim in lane.running:
-                lane.running.remove(victim)
+                lane.remove(victim)
                 break
         victim.phase = Phase.SWAPPED
         victim.swap_out_count += 1
@@ -577,7 +571,7 @@ class Instance:
                 collect(lane.current_batch.prefill_requests)
                 collect(lane.current_batch.decode_requests)
                 lane.current_batch = None
-            lane.running.clear()
+            lane.clear()
             lane.busy = False
             lane.busy_until = 0.0
         collect(self.waiting)
@@ -598,8 +592,6 @@ class Instance:
                 assist.active = None
         # HBM contents are gone: free every allocation (GPU and CPU-swap)
         # so the pool's alloc/free ledger stays balanced.
-        from repro.kvcache.blocks import BlockLocation
-
         for alloc in self.kv.residents(BlockLocation.GPU) + self.kv.residents(
             BlockLocation.CPU
         ):
@@ -669,8 +661,6 @@ class Instance:
             )
         if any(lane.busy for lane in self.lanes):
             raise RuntimeError(f"{self.name}: cannot reconfigure with batches in flight")
-        from repro.kvcache.blocks import BlockLocation, KVBlockManager
-
         if self.prefix_cache is not None:
             # Cached prefixes belong to no live request; drop them rather
             # than migrating them into the resized pool (they rebuild
@@ -684,7 +674,7 @@ class Instance:
         running = self.running_requests
         self.lanes = [Lane(i) for i in range(parallel.pp)]
         for i, request in enumerate(running):
-            self.lanes[i % parallel.pp].running.append(request)
+            self.lanes[i % parallel.pp].add(request)
 
         self.kv = KVBlockManager(
             gpu_capacity_tokens=self._kv_capacity_tokens(),
@@ -733,7 +723,7 @@ class Instance:
             return
         for lane in self.lanes:
             if request in lane.running:
-                lane.running.remove(request)
+                lane.remove(request)
                 return
         if request in self.swapped:
             self.swapped.remove(request)

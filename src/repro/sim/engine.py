@@ -15,13 +15,6 @@ drives millions of events through this loop):
   O(n)), but the simulator keeps an exact count of pending tombstones so
   idle checks are O(1) and the heap is compacted wholesale when tombstones
   dominate, instead of scanning for them.
-* :meth:`Simulator.advance_inline` lets a callback fold what would have
-  been a chain of schedule→pop→fire cycles into its own stack frame while
-  preserving the observable contract — the clock arithmetic, the
-  ``events_processed`` count, and the ``max_events`` budget are exactly
-  those of the equivalent scheduled event.  See
-  :meth:`Simulator.can_advance_inline` for the (conservative) conditions
-  under which this is indistinguishable from scheduling.
 """
 
 from __future__ import annotations
@@ -111,10 +104,6 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._cancelled_pending = 0
-        # Loop state observed by advance_inline (valid only while _running).
-        self._run_until: Optional[float] = None
-        self._run_max_events: Optional[int] = None
-        self._run_executed = 0
 
     @property
     def now(self) -> float:
@@ -198,9 +187,7 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        self._run_until = until
-        self._run_max_events = max_events
-        self._run_executed = 0
+        executed = 0
         heap = self._heap
         pop = heapq.heappop
         try:
@@ -212,7 +199,7 @@ class Simulator:
                     continue
                 if until is not None and time > until:
                     break
-                if max_events is not None and self._run_executed >= max_events:
+                if max_events is not None and executed >= max_events:
                     break
                 pop(heap)
                 self._now = time
@@ -222,11 +209,9 @@ class Simulator:
                 else:
                     event.fn(*event.args, **event.kwargs)
                 self._events_processed += 1
-                self._run_executed += 1
+                executed += 1
         finally:
             self._running = False
-            self._run_until = None
-            self._run_max_events = None
         if until is not None and self._now < until:
             while heap and heap[0][2].cancelled:
                 pop(heap)
@@ -241,49 +226,3 @@ class Simulator:
         if self.live_events:
             raise SimulationError(f"event budget of {max_events} exhausted")
         return self._now
-
-    # -- inline advancement --------------------------------------------------
-
-    def can_advance_inline(self, duration: float) -> bool:
-        """Whether a callback may fold a ``schedule(duration, ...)``+fire
-        cycle into its own frame without observable difference.
-
-        Conservative: refuses whenever any other pending event could fire
-        at or before the would-be event time (a scheduled event would carry
-        a *higher* seq than everything already in the heap, so ties must go
-        to the heap), whenever the run horizon or event budget would stop
-        the loop first, and whenever no run loop is active at all.
-        """
-        if not self._running or duration < 0:
-            return False
-        target = self._now + duration
-        until = self._run_until
-        if until is not None and target > until:
-            return False
-        max_events = self._run_max_events
-        # The currently-executing callback has not been added to
-        # _run_executed yet (the loop counts it on return), so the inline
-        # event would be number _run_executed + 2 overall.
-        if max_events is not None and self._run_executed + 1 >= max_events:
-            return False
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_pending -= 1
-        if heap and heap[0][0] <= target:
-            return False
-        return True
-
-    def advance_inline(self, duration: float) -> None:
-        """Advance the clock as if a ``duration``-delayed event just fired.
-
-        Callers must have checked :meth:`can_advance_inline` with the same
-        ``duration`` in the same callback frame.  The clock arithmetic
-        (``now + duration``) is bit-identical to :meth:`schedule` followed
-        by the loop's ``self._now = event.time``, and the fired callback is
-        accounted in ``events_processed`` and against the loop's
-        ``max_events`` budget exactly as a real event would be.
-        """
-        self._now = self._now + duration
-        self._events_processed += 1
-        self._run_executed += 1

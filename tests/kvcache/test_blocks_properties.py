@@ -2,10 +2,14 @@
 
 Hypothesis generates arbitrary alloc/extend/free/adopt/swap sequences; the
 manager must never double-free, never leak, and never exceed pool capacity,
-regardless of the order operations arrive in.
+regardless of the order operations arrive in.  The decode fast-path
+contract (``appends_in_place``) must agree exactly with what ``extend(rid,
+1)`` would do.
 """
 
 from __future__ import annotations
+
+import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +131,44 @@ def test_double_allocate_rejected_and_harmless(rid, tokens):
     kv.free(rid)
     assert kv.redundant_frees == 1
     assert kv.free_gpu_blocks == kv.gpu_capacity_blocks
+
+
+def _state(kv: KVBlockManager) -> tuple:
+    return (
+        {rid: (a.tokens, a.blocks, a.location) for rid, a in kv.allocations.items()},
+        kv.free_gpu_blocks,
+        kv.used_gpu_blocks,
+        kv.free_cpu_blocks,
+        dict(kv.alloc_events),
+        dict(kv.free_events),
+        kv.redundant_frees,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=OPS, rid=st.integers(0, 7), fill_block=st.booleans())
+def test_in_place_append_contract(ops, rid, fill_block):
+    """``appends_in_place`` holds iff ``extend(rid, 1)`` would reserve zero
+    blocks, and then bumping ``tokens`` in place leaves the manager in
+    exactly the state ``extend(rid, 1)`` would."""
+    kv = _manager()
+    for op, r, tokens in ops:
+        _apply(kv, op, r, tokens)
+    alloc = kv.allocations.get(rid)
+    if fill_block and alloc is not None and alloc.location is BlockLocation.GPU:
+        # Land exactly on a block boundary, the case the fast path must refuse.
+        room = alloc.blocks * BLOCK - alloc.tokens
+        if room:
+            kv.extend(rid, room)
+
+    reference = copy.deepcopy(kv)
+    try:
+        reference.extend(rid, 1)
+        reserved = kv.free_gpu_blocks - reference.free_gpu_blocks
+    except (OutOfMemoryError, ValueError):
+        reserved = None  # swapped out or no room: extend refuses outright
+    in_place = alloc is not None and kv.appends_in_place(alloc)
+    assert in_place == (reserved == 0)
+    if in_place:
+        alloc.tokens += 1
+        assert _state(kv) == _state(reference)

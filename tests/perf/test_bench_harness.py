@@ -9,6 +9,7 @@ fingerprints and event counts) even though their wall-clock numbers differ.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.harness.perfbench import (
     BENCH_FORMAT_VERSION,
     BenchPhase,
     BenchSpec,
+    fingerprint_changes,
     next_bench_path,
     record_bench,
     run_bench,
@@ -35,6 +37,8 @@ TINY = BenchSpec(
         BenchPhase("chaos", "chaos", 24),
     ),
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +120,20 @@ def test_standard_phases_scale_with_request_count():
     assert phases[4].name == "fleet-hetero"
     assert phases[4].fleet_shape == "a800:2,h100:2"
     assert all(p.num_requests >= 1 for p in standard_phases(1))
+
+
+def test_fingerprint_changes_lists_shared_phases_that_moved():
+    prev = {"phases": [{"name": "a", "fingerprint": "1"}, {"name": "b", "fingerprint": "2"}]}
+    cur = {"phases": [{"name": "a", "fingerprint": "1"}, {"name": "b", "fingerprint": "3"},
+                      {"name": "c", "fingerprint": "4"}]}
+    assert fingerprint_changes(prev, cur) == ["b"]
+    assert fingerprint_changes(cur, cur) == []
+
+
+def test_bench_5_simulates_exactly_what_bench_4_did():
+    """The block-boundary decode fast path is a pure speed change: every
+    phase of the BENCH_5 trajectory point keeps its BENCH_4 fingerprint."""
+    prev = json.loads((REPO_ROOT / "BENCH_4.json").read_text())
+    cur = json.loads((REPO_ROOT / "BENCH_5.json").read_text())
+    assert [row["name"] for row in cur["phases"]] == [row["name"] for row in prev["phases"]]
+    assert fingerprint_changes(prev, cur) == []
