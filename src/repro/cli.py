@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -160,13 +161,7 @@ def cmd_placement(args: argparse.Namespace) -> int:
 def cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.harness.breakdown import breakdown_rows
     from repro.harness.timeline import render_timeline
-    from repro.harness.runner import build_system, resolve_slo
-    from repro.models.registry import get_model
-    from repro.workloads.arrivals import TierMix
-    from repro.workloads.datasets import get_dataset
-    from repro.workloads.prefixes import PrefixMix
-    from repro.workloads.tenants import TenantMix
-    from repro.workloads.trace import generate_trace
+    from repro.harness.runner import build_system, generate_workload, resolve_slo
 
     if (mix_error := _validate_tenant_mix(args)) is not None:
         print(mix_error, file=sys.stderr)
@@ -178,19 +173,7 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
     system.trace.enabled = True
     for instance in system.instances:
         instance.trace = system.trace
-    trace = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * spec.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=TierMix.parse(spec.tier_mix) if spec.tier_mix else None,
-        prefix_mix=PrefixMix.parse(spec.prefix_mix) if spec.prefix_mix else None,
-        tenant_mix=TenantMix.parse(spec.tenant_mix) if spec.tenant_mix else None,
-    )
-    metrics = system.run_to_completion(trace)
+    metrics = system.run_to_completion(generate_workload(spec, spec.gpus_used))
     rows = breakdown_rows(metrics.completed, label=spec.system)
     if args.json:
         print(json.dumps(rows, indent=2))
@@ -268,24 +251,58 @@ def cmd_golden(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_report(args: argparse.Namespace, report, success: str) -> int:
+    """Print an :class:`ArmSetReport` and return the exit code.
+
+    Shared by every comparison command: ``--out`` writes the JSON report,
+    ``--json`` prints it (else a table of the arms' scalar metrics and the
+    verdicts), each violation and failed verdict goes to stderr, and the
+    exit code is 1 unless every arm is audit-clean and every verdict holds.
+    """
+    payload = report.as_dict()
+    if getattr(args, "out", None):
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {args.out}")
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        rows = []
+        for run in report.runs.values():
+            row = {
+                key: value
+                for key, value in run.derived.items()
+                if isinstance(value, (str, int, float, bool, type(None)))
+            }
+            row["fingerprint"] = run.fingerprint.value[:12]
+            row["invariants"] = "ok" if run.passed else "VIOLATED"
+            rows.append(row)
+        print(format_table(rows, precision=4))
+        for name, holds in report.verdicts.items():
+            print(f"  [{'ok' if holds else 'FAILED'}] {name}")
+    for violation in report.violations:
+        print(f"[VIOLATED] {violation}", file=sys.stderr)
+    for name, holds in report.verdicts.items():
+        if not holds:
+            print(f"verdict {name} failed", file=sys.stderr)
+    if not report.passed:
+        return 1
+    print(f"\n{success}")
+    return 0
+
+
 def cmd_differential(args: argparse.Namespace) -> int:
-    from repro.harness.differential import DifferentialSpec, run_differential
+    from repro.harness.differential import run_differential
 
     failures = 0
     for seed in args.seeds:
-        spec = DifferentialSpec(
-            model=args.model,
-            dataset=args.dataset,
-            rate_per_gpu=args.rate,
-            num_requests=args.requests,
-            seed=seed,
-            arrival_process=args.arrivals,
-            burstiness_cv=args.burstiness,
-            systems=tuple(args.systems),
+        spec = replace(_spec_from_args(args, args.systems[0], args.rate), seed=seed)
+        report = run_differential(spec, systems=tuple(args.systems))
+        failures += _emit_report(
+            args,
+            report,
+            f"seed {seed}: all {len(report.runs)} systems kept every invariant on "
+            f"workload {report.workload_fingerprint[:12]}",
         )
-        result = run_differential(spec)
-        print(result.report())
-        failures += not result.passed
     return 1 if failures else 0
 
 
@@ -333,7 +350,7 @@ def _validate_tenant_mix(args: argparse.Namespace) -> Optional[str]:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FAULT_PLAN_NAMES
-    from repro.harness.chaos import run_chaos_matrix
+    from repro.harness.chaos import DEFAULT_CHAOS_PLANS, run_chaos_matrix
 
     for mix_error in (
         _validate_tier_mix(args),
@@ -347,7 +364,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return _cmd_chaos_fleet(args)
     systems, plans = args.systems, args.plans
     if plans is None:
-        plans = ["decode-crash", "link-degrade", "straggler"]
+        plans = list(DEFAULT_CHAOS_PLANS)
     requests = args.requests
     if args.smoke:
         # One small deterministic cell for CI: fast, but still exercises
@@ -360,56 +377,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    results = run_chaos_matrix(
-        systems=systems,
-        plans=plans,
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=requests,
-        seed=args.seed,
-        arrival_process=args.arrivals,
-        burstiness_cv=args.burstiness,
-        tier_mix=args.tier_mix,
-        prefix_mix=args.prefix_mix,
-        admission_policy=args.admission,
-        tenant_mix=args.tenant_mix,
-        fairshare=_fairshare_from_args(args),
+    base = replace(_spec_from_args(args, systems[0], args.rate), num_requests=requests)
+    report = run_chaos_matrix(base, systems=systems, plans=plans)
+    return _emit_report(
+        args,
+        report,
+        f"all {len(report.runs)} chaos run(s) satisfied the resilience invariants",
     )
-    rows = [r.row() for r in results]
-    if args.json:
-        payload = [
-            {
-                **r.row(),
-                "resilience": r.resilience,
-                "plan_events": r.plan_events,
-                "fingerprint": r.fingerprint,
-                "completion_curve": r.completion_curve,
-                "tier_report": r.tier_report,
-                "violations": r.violations,
-            }
-            for r in results
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table(rows))
-    failed = [r for r in results if not r.passed]
-    for result in failed:
-        print(
-            f"\n[VIOLATED] {result.spec.system} / {result.spec.fault_plan}:",
-            file=sys.stderr,
-        )
-        for violation in result.violations:
-            print(f"    {violation}", file=sys.stderr)
-    if failed:
-        return 1
-    print(f"\nall {len(results)} chaos run(s) satisfied the resilience invariants")
-    return 0
 
 
 def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
     from repro.faults import FLEET_FAULT_PLAN_NAMES
-    from repro.harness.chaos import DEFAULT_FLEET_CHAOS_PLANS, run_fleet_chaos_matrix
+    from repro.harness.chaos import (
+        DEFAULT_FLEET_CHAOS_PLANS,
+        FleetChaosSpec,
+        run_fleet_chaos_matrix,
+    )
 
     plans = args.plans if args.plans is not None else list(DEFAULT_FLEET_CHAOS_PLANS)
     requests = args.requests
@@ -428,8 +411,7 @@ def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    results = run_fleet_chaos_matrix(
-        plans=plans,
+    base = FleetChaosSpec(
         model=args.model,
         dataset=args.dataset,
         rate_per_gpu=args.rate,
@@ -450,209 +432,106 @@ def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
         tenant_rate=args.tenant_rate,
         tenant_burst=args.tenant_burst,
     )
-    if args.json:
-        payload = [
-            {
-                **r.row(),
-                "resilience": r.resilience,
-                "fleet_resilience": r.fleet_resilience,
-                "plan_events": r.plan_events,
-                "fingerprint": r.fingerprint,
-                "tier_report": r.tier_report,
-                "violations": r.violations,
-            }
-            for r in results
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table([r.row() for r in results]))
-    failed = [r for r in results if not r.passed]
-    for result in failed:
-        print(f"\n[VIOLATED] fleet / {result.spec.fault_plan}:", file=sys.stderr)
-        for violation in result.violations:
-            print(f"    {violation}", file=sys.stderr)
-    if failed:
-        return 1
-    print(f"\nall {len(results)} fleet chaos run(s) satisfied the resilience invariants")
-    return 0
+    report = run_fleet_chaos_matrix(base, plans=plans)
+    return _emit_report(
+        args,
+        report,
+        f"all {len(report.runs)} fleet chaos run(s) satisfied the resilience invariants",
+    )
 
 
 def cmd_prefix(args: argparse.Namespace) -> int:
-    from repro.harness.prefix_compare import PrefixComparisonSpec, run_prefix_comparison
+    from repro.harness.prefix_compare import DEFAULT_SPEC, run_prefix_comparison
 
     if (mix_error := _validate_prefix_mix(args)) is not None:
         print(mix_error, file=sys.stderr)
         return 2
-    kwargs = dict(
+    base = replace(
+        DEFAULT_SPEC,
         model=args.model,
         dataset=args.dataset,
         rate_per_gpu=args.rate,
-        num_requests=args.requests,
+        # One fast deterministic comparison cell for CI under --smoke.
+        num_requests=min(args.requests, 160) if args.smoke else args.requests,
         seed=args.seed,
         num_nodes=args.nodes,
         pairs_per_node=args.pairs_per_node,
         prefix_cache_tokens=args.cache_tokens,
+        prefix_mix=args.prefix_mix or DEFAULT_SPEC.prefix_mix,
     )
-    if args.prefix_mix:
-        kwargs["prefix_mix"] = args.prefix_mix
-    if args.smoke:
-        # One fast deterministic comparison cell for CI.
-        kwargs["num_requests"] = min(args.requests, 160)
-    report = run_prefix_comparison(PrefixComparisonSpec(**kwargs))
-    payload = report.as_dict()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        rows = [run.as_dict() for run in report.runs.values()]
-        for row in rows:
-            row.pop("violations", None)
-            row["fingerprint"] = row["fingerprint"][:12]
-        print(format_table(rows, precision=4))
-    for name, run in report.runs.items():
-        for violation in run.violations:
-            print(f"[VIOLATED] {name}: {violation}", file=sys.stderr)
-    if not report.passed:
-        return 1
-    if not report.affinity_beats_blind:
-        print(
-            "prefix-affinity did NOT beat least-loaded on mean TTFT + prefill work",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "\nprefix-affinity beats least-loaded on mean TTFT and total prefill "
-        "tokens; all KV and conservation checks passed"
+    return _emit_report(
+        args,
+        run_prefix_comparison(base),
+        "prefix-affinity beats least-loaded on mean TTFT and total prefill "
+        "tokens; all KV and conservation checks passed",
     )
-    return 0
 
 
 def cmd_hetero(args: argparse.Namespace) -> int:
-    from repro.harness.hetero_compare import (
-        HeteroComparisonSpec,
-        run_hetero_comparison,
-    )
+    from repro.harness.hetero_compare import DEFAULT_SPEC, run_hetero_comparison
 
-    kwargs = dict(
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=args.requests,
-        seed=args.seed,
-        pairs_per_node=args.pairs_per_node,
-        fault_plan=args.fault_plan,
-    )
-    if args.shape:
-        kwargs["shape"] = args.shape
-    if args.smoke:
-        # One fast deterministic comparison point for CI (the default spec
-        # already runs in ~1s; the cap just keeps explicit larger --requests
-        # honest in smoke mode).
-        kwargs["num_requests"] = min(args.requests, 480)
     try:
-        spec = HeteroComparisonSpec(**kwargs)
-        spec.parsed_shape()  # surface shape-spec errors as usage errors
+        base = replace(
+            DEFAULT_SPEC,
+            model=args.model,
+            dataset=args.dataset,
+            rate_per_gpu=args.rate,
+            # The default spec already runs in ~1s; the --smoke cap just
+            # keeps explicit larger --requests honest in smoke mode.
+            num_requests=min(args.requests, 480) if args.smoke else args.requests,
+            seed=args.seed,
+            pairs_per_node=args.pairs_per_node,
+            fault_plan=args.fault_plan,
+            shape=args.shape or DEFAULT_SPEC.shape,
+        )
+        base.parsed_shape()  # surface shape-spec errors as usage errors
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_hetero_comparison(spec)
-    payload = report.as_dict()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        rows = [run.as_dict() for run in report.runs.values()]
-        for row in rows:
-            row.pop("violations", None)
-            row.pop("replans", None)
-            row["fingerprint"] = row["fingerprint"][:12]
-        print(format_table(rows, precision=4))
-    for name, run in report.runs.items():
-        for violation in run.violations:
-            print(f"[VIOLATED] {name}: {violation}", file=sys.stderr)
-    if not report.passed:
-        return 1
-    failed = False
-    if not report.routing_wins:
-        print(
-            "predicted-ttft did NOT beat least-loaded on mean TTFT on the "
-            "mixed fleet",
-            file=sys.stderr,
-        )
-        failed = True
-    if not report.replan_recovers:
-        print(
-            "failure-reactive re-planning did NOT recover SLO goodput >= "
-            "the degraded (no-replan) run",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print(
-        "\npredicted-ttft beats least-loaded on the mixed fleet, and "
+    return _emit_report(
+        args,
+        run_hetero_comparison(base),
+        "predicted-ttft beats least-loaded on the mixed fleet, and "
         "re-planning recovers at least the degraded run's SLO goodput; "
-        "all chaos invariants passed"
+        "all chaos invariants passed",
     )
-    return 0
 
 
 def cmd_tenants(args: argparse.Namespace) -> int:
     from repro.harness.tenant_compare import (
+        DEFAULT_SPEC,
         TenantComparisonSpec,
         run_tenant_comparison,
     )
 
-    kwargs = dict(
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=args.requests,
-        seed=args.seed,
-        num_light=args.light_tenants,
-        light_weight=args.light_weight,
-        tenant_max_inflight=args.tenant_max_inflight,
-        burst_requests=args.burst_requests,
-        isolation_bound=args.bound,
-    )
-    if args.smoke:
-        # One fast deterministic comparison cell for CI.
-        kwargs["num_requests"] = min(args.requests, 80)
-        kwargs["burst_requests"] = min(args.burst_requests, 32)
     try:
-        spec = TenantComparisonSpec(**kwargs)
+        spec = TenantComparisonSpec(
+            num_light=args.light_tenants,
+            light_weight=args.light_weight,
+            tenant_max_inflight=args.tenant_max_inflight,
+            # One fast deterministic comparison cell for CI under --smoke.
+            burst_requests=(
+                min(args.burst_requests, 32) if args.smoke else args.burst_requests
+            ),
+            isolation_bound=args.bound,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_tenant_comparison(spec)
-    payload = report.as_dict()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.report())
-    for name, run in report.runs.items():
-        for violation in run.violations:
-            print(f"[VIOLATED] {name}: {violation}", file=sys.stderr)
-    if not report.passed:
-        if report.isolation_holds and not report.fifo_violates:
-            print(
-                "experiment did not discriminate: FIFO also held the isolation "
-                "bound (raise the burst or lower --bound)",
-                file=sys.stderr,
-            )
-        return 1
-    print(
-        "\nfair-share held the isolation bound the FIFO baseline violated; "
-        "budgets were never exceeded and all conservation checks passed"
+    base = replace(
+        DEFAULT_SPEC,
+        model=args.model,
+        dataset=args.dataset,
+        rate_per_gpu=args.rate,
+        num_requests=min(args.requests, 80) if args.smoke else args.requests,
+        seed=args.seed,
     )
-    return 0
+    return _emit_report(
+        args,
+        run_tenant_comparison(spec, base),
+        "fair-share held the isolation bound the FIFO baseline violated; "
+        "budgets were never exceeded and all conservation checks passed",
+    )
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -98,9 +98,9 @@ class WindServeSystem(ServingSystem):
         and decode instances are built on the new placement — optionally
         on different GPU types — and the Global Scheduler machinery
         (profilers, coordinator, migration manager) is rebuilt around
-        them.  The crashed instances' fully-freed KV ledgers are archived
-        into the new instances' ``retired_kv``, so freed-exactly-once
-        audits still see the member's whole allocation history.
+        them.  The new instances inherit the crashed ones' history
+        (:meth:`~repro.serving.instance.Instance.inherit`), so the audits
+        still see the member's whole KV and prefix-cache ledgers.
         """
         if not self.halted:
             raise RuntimeError("rebuild_placement requires a drained (crashed) member")
@@ -135,10 +135,8 @@ class WindServeSystem(ServingSystem):
                 trace=self.trace,
             )
         )
-        self.prefill_instance.retired_kv.extend(
-            old_prefill.retired_kv + [old_prefill.kv]
-        )
-        self.decode_instance.retired_kv.extend(old_decode.retired_kv + [old_decode.kv])
+        self.prefill_instance.inherit(old_prefill)
+        self.decode_instance.inherit(old_decode)
         self.prefill_profiler = Profiler(self.prefill_instance.latency)
         self.decode_profiler = Profiler(self.decode_instance.latency)
         self.assist_budget_tokens = self._derive_assist_budget()

@@ -2,9 +2,13 @@
 
 from repro.harness.slo import PAPER_SLOS, derive_slo, paper_slo
 from repro.harness.runner import (
+    ArmRun,
+    ArmSetReport,
     ExperimentResult,
     ExperimentSpec,
     build_system,
+    generate_workload,
+    run_arm,
     run_experiment,
     sweep_rates,
 )
@@ -14,14 +18,9 @@ from repro.harness.timeline import TimelineReport, render_timeline, sparkline
 from repro.harness.capacity import CapacityResult, find_capacity
 from repro.harness.comparison import Comparison, compare_systems
 from repro.harness.breakdown import aggregate_breakdown, breakdown_rows, render_breakdown
-from repro.harness.differential import (
-    DifferentialReport,
-    DifferentialSpec,
-    run_differential,
-)
+from repro.harness.differential import run_differential
 from repro.harness.chaos import (
-    ChaosResult,
-    ChaosSpec,
+    FleetChaosSpec,
     chaos_invariants,
     run_chaos,
     run_chaos_matrix,
@@ -39,9 +38,13 @@ __all__ = [
     "PAPER_SLOS",
     "derive_slo",
     "paper_slo",
+    "ArmRun",
+    "ArmSetReport",
     "ExperimentResult",
     "ExperimentSpec",
     "build_system",
+    "generate_workload",
+    "run_arm",
     "run_experiment",
     "sweep_rates",
     "format_table",
@@ -56,11 +59,8 @@ __all__ = [
     "aggregate_breakdown",
     "breakdown_rows",
     "render_breakdown",
-    "DifferentialReport",
-    "DifferentialSpec",
     "run_differential",
-    "ChaosResult",
-    "ChaosSpec",
+    "FleetChaosSpec",
     "chaos_invariants",
     "run_chaos",
     "run_chaos_matrix",

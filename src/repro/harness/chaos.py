@@ -5,310 +5,45 @@ gracefully it degrades: goodput vs the fault-free run, detection latency,
 downtime, re-queues/sheds, and a request *completion curve* around the fault
 window.  A chaos run must never silently drop work — every submitted
 request either completes or is explicitly counted as shed by degraded-mode
-admission control — and the differential invariants (token causality,
-monotone timestamps, KV freed exactly once across crashed and recovered
-pools) still hold.  ``chaos_invariants`` turns any violation into a hard
-failure, and ``python -m repro chaos`` sweeps the matrix from the CLI.
+admission control — and every other invariant of
+:func:`~repro.serving.audit.audit_run` still holds across crashed and
+recovered pools.  ``python -m repro chaos`` sweeps the matrix from the CLI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.faults import (
-    FaultInjector,
-    FleetFaultInjector,
-    ResilienceConfig,
-    build_fault_plan,
-    build_fleet_fault_plan,
+from repro.faults import ResilienceConfig
+from repro.harness.runner import (
+    ArmRun,
+    ArmSetReport,
+    ExperimentSpec,
+    build_system,
+    generate_workload,
+    resolve_slo,
+    run_arm,
+    scalar_fields,
 )
-from repro.harness.differential import (
-    check_monotonic_times,
-    check_token_causality,
-    clone_requests,
-    workload_rows,
-)
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
 from repro.harness.slo import derive_slo, tier_slos
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
-from repro.serving.audit import audit_request
-from repro.serving.metrics import MetricsCollector
-from repro.serving.request import TIERS, Phase, Request
-from repro.serving.system import ServingSystem
 from repro.policies.fairshare import FairShareConfig, TenantRateLimiter
-from repro.workloads.arrivals import TierMix
+from repro.serving.audit import audit_run
+from repro.serving.request import Request
 from repro.workloads.datasets import get_dataset
-from repro.workloads.prefixes import PrefixMix
-from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import Trace, workload_rows
 
 DEFAULT_CHAOS_SYSTEMS = ("windserve", "distserve", "vllm")
 DEFAULT_CHAOS_PLANS = ("decode-crash", "link-degrade", "straggler")
 DEFAULT_FLEET_CHAOS_PLANS = ("member-crash", "node-crash", "nic-outage")
 
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """One chaos measurement point: a workload, a system, and a fault plan."""
-
-    system: str = "windserve"
-    fault_plan: str = "decode-crash"
-    model: str = "opt-13b"
-    dataset: str = "sharegpt"
-    rate_per_gpu: float = 3.0
-    num_requests: int = 120
-    seed: int = 0
-    arrival_process: str = "poisson"
-    burstiness_cv: float = 2.0
-    # SLO-tier mix spec ("interactive=0.2,standard=0.5,best_effort=0.3");
-    # None keeps the workload tier-free (byte-identical to pre-tier runs).
-    tier_mix: Optional[str] = None
-    # Shared-prefix population spec; None keeps the workload prefix-free.
-    prefix_mix: Optional[str] = None
-    resilience: Optional[ResilienceConfig] = None
-    # Degraded-mode admission policy (see repro.policies.admission).
-    admission_policy: str = "nested-caps"
-    # Tenant population spec; None keeps the workload tenant-free.
-    tenant_mix: Optional[str] = None
-    # Fair-share knobs (weights/SRPT/aging/budgets) for ``fair-share`` runs.
-    fairshare: Optional[FairShareConfig] = None
-
-    def parsed_tier_mix(self) -> Optional[TierMix]:
-        return TierMix.parse(self.tier_mix) if self.tier_mix else None
-
-    def parsed_prefix_mix(self) -> Optional[PrefixMix]:
-        return PrefixMix.parse(self.prefix_mix) if self.prefix_mix else None
-
-    def parsed_tenant_mix(self) -> Optional[TenantMix]:
-        return TenantMix.parse(self.tenant_mix) if self.tenant_mix else None
-
-    def experiment(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            system=self.system,
-            model=self.model,
-            dataset=self.dataset,
-            rate_per_gpu=self.rate_per_gpu,
-            num_requests=self.num_requests,
-            seed=self.seed,
-            arrival_process=self.arrival_process,
-            burstiness_cv=self.burstiness_cv,
-            tier_mix=self.tier_mix,
-            prefix_mix=self.prefix_mix,
-            resilience=self.resilience,
-            admission_policy=self.admission_policy,
-            tenant_mix=self.tenant_mix,
-            fairshare=self.fairshare,
-        )
-
-
-@dataclass
-class ChaosResult:
-    """Outcome of one chaos run."""
-
-    spec: ChaosSpec
-    submitted: int
-    completed: int
-    shed: int
-    resilience: dict
-    slo_attainment: float
-    goodput_vs_healthy: Optional[float]
-    fingerprint: str
-    plan_events: list[dict]
-    completion_curve: list[tuple[float, int]]
-    # Per-tier completed/shed/goodput/attainment (each tier judged against
-    # its own scaled SLO); covers every known tier even when tier-free.
-    tier_report: dict = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def row(self) -> dict:
-        """Flat dict for tabular reports."""
-        out = {
-            "system": self.spec.system,
-            "plan": self.spec.fault_plan,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "slo_attainment": self.slo_attainment,
-            "goodput_vs_healthy": self.goodput_vs_healthy,
-        }
-        out.update(
-            {
-                k: self.resilience[k]
-                for k in (
-                    "requests_requeued",
-                    "transfer_retries",
-                    "detection_latency_s",
-                    "downtime_s",
-                )
-            }
-        )
-        out["invariants"] = "ok" if self.passed else "VIOLATED"
-        return out
-
-
-# -- invariants ----------------------------------------------------------------
-
-
-def chaos_conservation(
-    submitted: Sequence[Request], completed: Sequence[Request], shed: Sequence[Request]
-) -> list[str]:
-    """Zero silent drops: submitted == completed + shed, with no overlap."""
-    problems = []
-    submitted_ids = {r.request_id for r in submitted}
-    completed_ids = [r.request_id for r in completed]
-    shed_ids = [r.request_id for r in shed]
-    duplicates = {rid for rid in completed_ids if completed_ids.count(rid) > 1}
-    if duplicates:
-        problems.append(f"requests completed more than once: {sorted(duplicates)[:5]}")
-    both = set(completed_ids) & set(shed_ids)
-    if both:
-        problems.append(f"requests both completed and shed: {sorted(both)[:5]}")
-    accounted = set(completed_ids) | set(shed_ids)
-    dropped = submitted_ids - accounted
-    if dropped:
-        problems.append(f"requests silently dropped: {sorted(dropped)[:5]}")
-    phantom = accounted - submitted_ids
-    if phantom:
-        problems.append(f"phantom request ids never submitted: {sorted(phantom)[:5]}")
-    for request in shed:
-        if request.phase is not Phase.SHED:
-            problems.append(f"request {request.request_id}: shed but phase={request.phase.value}")
-    return problems
-
-
-def chaos_tier_conservation(
-    submitted: Sequence[Request], completed: Sequence[Request], shed: Sequence[Request]
-) -> list[str]:
-    """No tier's requests vanish or mutate: per-tier submitted counts equal
-    per-tier completed + shed, and every outcome carries the tier it was
-    submitted with (a retry/requeue must never reclassify a request)."""
-    problems = []
-    tier_of = {r.request_id: r.tier for r in submitted}
-    mutated = [
-        r.request_id
-        for r in list(completed) + list(shed)
-        if r.request_id in tier_of and r.tier != tier_of[r.request_id]
-    ]
-    if mutated:
-        problems.append(f"requests changed tier in flight: {sorted(mutated)[:5]}")
-    for tier in TIERS:
-        n_submitted = sum(1 for r in submitted if r.tier == tier)
-        n_completed = sum(1 for r in completed if r.tier == tier)
-        n_shed = sum(1 for r in shed if r.tier == tier)
-        if n_submitted != n_completed + n_shed:
-            problems.append(
-                f"tier {tier!r} lost requests: submitted {n_submitted} != "
-                f"completed {n_completed} + shed {n_shed}"
-            )
-    return problems
-
-
-def chaos_tenant_conservation(
-    submitted: Sequence[Request], completed: Sequence[Request], shed: Sequence[Request]
-) -> list[str]:
-    """No tenant's requests vanish or mutate: per-tenant submitted counts
-    equal per-tenant completed + shed, and every outcome carries the tenant
-    it was submitted with (a retry/requeue must never re-own a request)."""
-    problems = []
-    tenant_of = {r.request_id: r.tenant for r in submitted}
-    mutated = [
-        r.request_id
-        for r in list(completed) + list(shed)
-        if r.request_id in tenant_of and r.tenant != tenant_of[r.request_id]
-    ]
-    if mutated:
-        problems.append(f"requests changed tenant in flight: {sorted(mutated)[:5]}")
-    tenants = sorted({r.tenant for r in submitted})
-    for tenant in tenants:
-        n_submitted = sum(1 for r in submitted if r.tenant == tenant)
-        n_completed = sum(1 for r in completed if r.tenant == tenant)
-        n_shed = sum(1 for r in shed if r.tenant == tenant)
-        if n_submitted != n_completed + n_shed:
-            problems.append(
-                f"tenant {tenant!r} lost requests: submitted {n_submitted} != "
-                f"completed {n_completed} + shed {n_shed}"
-            )
-    return problems
-
-
-def chaos_tier_report(metrics: MetricsCollector, base_slo) -> dict:
-    """Per-tier outcome summary against each tier's own scaled SLO."""
-    return metrics.tier_report(tier_slos(base_slo))
-
-
-def chaos_kv_lifecycle(system: ServingSystem) -> list[str]:
-    """KV freed exactly once, including the pools retired by crashes.
-
-    A still-warm prefix cache is deliberate residency, not a leak: its
-    blocks are released here (idempotently) as part of the audit's notion
-    of full teardown before the freed-exactly-once check runs.
-    """
-    problems = []
-    for instance in system.instances:
-        cache = getattr(instance, "prefix_cache", None)
-        if cache is not None:
-            cache.drain()
-        managers = [(instance.kv, "kv")] + [
-            (kv, f"retired-kv#{i}") for i, kv in enumerate(instance.retired_kv)
-        ]
-        for kv, label in managers:
-            unbalanced = {
-                rid: (kv.alloc_events[rid], kv.free_events[rid])
-                for rid in set(kv.alloc_events) | set(kv.free_events)
-                if kv.alloc_events[rid] != kv.free_events[rid]
-            }
-            if unbalanced:
-                sample = dict(sorted(unbalanced.items())[:5])
-                problems.append(
-                    f"{instance.name}/{label}: alloc/free imbalance "
-                    f"(rid -> allocs,frees) {sample}"
-                )
-            if kv.used_gpu_blocks != 0:
-                problems.append(
-                    f"{instance.name}/{label}: {kv.used_gpu_blocks} GPU KV blocks leaked"
-                )
-    return problems
-
-
-def chaos_invariants(
-    system: ServingSystem, submitted: Sequence[Request]
-) -> list[str]:
-    """Every invariant a chaos run must keep, shed-aware."""
-    completed = system.metrics.completed
-    shed = system.metrics.shed
-    problems = chaos_conservation(submitted, completed, shed)
-    problems.extend(chaos_tier_conservation(submitted, completed, shed))
-    problems.extend(chaos_tenant_conservation(submitted, completed, shed))
-    problems.extend(check_token_causality(completed))
-    problems.extend(check_monotonic_times(completed))
-    problems.extend(chaos_kv_lifecycle(system))
-    for request in completed:
-        problems.extend(audit_request(request))
-    for instance in system.instances:
-        if instance.failed:
-            problems.append(f"{instance.name}: still failed after the drain")
-        if instance.waiting:
-            problems.append(
-                f"{instance.name}: {len(instance.waiting)} requests stuck waiting"
-            )
-        if instance.total_running:
-            problems.append(
-                f"{instance.name}: {instance.total_running} requests stuck running"
-            )
-    if system.known_failed:
-        problems.append(f"failure knowledge never cleared: {sorted(system.known_failed)}")
-    return problems
-
-
-# -- the runner ----------------------------------------------------------------
+#: The invariant registry under the names the benchmark imports from here.
+chaos_invariants = audit_run
+fleet_chaos_invariants = audit_run
 
 
 def completion_curve(
@@ -325,81 +60,84 @@ def completion_curve(
     return [(float(t), int(n)) for t, n in zip(edges, counts)]
 
 
-def run_chaos(
-    spec: ChaosSpec, healthy_completed: Optional[int] = None
-) -> ChaosResult:
+def _pick(mapping: dict, *keys: str) -> dict:
+    return {k: mapping[k] for k in keys}
+
+
+# -- single-system chaos -------------------------------------------------------
+
+
+def run_chaos(spec: ExperimentSpec, healthy_completed: Optional[int] = None) -> ArmRun:
     """Run one chaos point to completion and check its invariants.
 
-    ``healthy_completed`` is the completion count of the same spec run under
-    the ``"none"`` plan; when given, ``goodput_vs_healthy`` reports the
+    ``spec.fault_plan`` names the plan (None runs the empty ``"none"``
+    plan).  ``healthy_completed`` is the completion count of the same spec
+    under ``"none"``; when given, ``goodput_vs_healthy`` reports the
     degradation ratio.
     """
-    experiment = spec.experiment()
-    system = build_system(experiment, resolve_slo(experiment))
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * experiment.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=spec.parsed_tier_mix(),
-        prefix_mix=spec.parsed_prefix_mix(),
-        tenant_mix=spec.parsed_tenant_mix(),
+    plan = spec.fault_plan or "none"
+    slo = resolve_slo(spec)
+    system = build_system(spec, slo)
+    trace = generate_workload(spec, spec.gpus_used)
+    run = run_arm(
+        f"{spec.system}/{plan}",
+        system,
+        workload_rows(trace),
+        plan,
+        spec.seed,
+        trace.rng_registry,
     )
-    submitted = clone_requests(workload_rows(workload))
-    horizon = max(r.arrival_time for r in submitted)
-    plan = build_fault_plan(spec.fault_plan, horizon, seed=spec.seed)
-    FaultInjector(system, plan).arm()
-    metrics = system.run_to_completion(submitted)
-
-    slo = resolve_slo(experiment)
-    completed = len(metrics.completed)
+    metrics = run.metrics
     goodput = None
     if healthy_completed:
-        good = sum(slo.met_by(r) for r in metrics.completed)
-        goodput = good / healthy_completed
-    return ChaosResult(
-        spec=spec,
-        submitted=len(submitted),
-        completed=completed,
-        shed=len(metrics.shed),
-        resilience=metrics.resilience_summary(),
-        slo_attainment=metrics.slo_attainment(slo),
-        goodput_vs_healthy=goodput,
-        fingerprint=system.run_fingerprint(workload.rng_registry).value,
-        plan_events=plan.describe(),
-        completion_curve=completion_curve(metrics.completed, metrics.horizon),
-        tier_report=chaos_tier_report(metrics, slo),
-        violations=chaos_invariants(system, submitted),
-    )
+        goodput = sum(slo.met_by(r) for r in metrics.completed) / healthy_completed
+    resilience = metrics.resilience_summary()
+    run.derived = {
+        "system": spec.system,
+        "plan": plan,
+        "submitted": len(run.submitted),
+        "completed": len(metrics.completed),
+        "shed": len(metrics.shed),
+        "slo_attainment": metrics.slo_attainment(slo),
+        "goodput_vs_healthy": goodput,
+        **_pick(
+            resilience,
+            "requests_requeued",
+            "transfer_retries",
+            "detection_latency_s",
+            "downtime_s",
+        ),
+        "resilience": resilience,
+        "plan_events": run.plan_events,
+        "completion_curve": completion_curve(metrics.completed, metrics.horizon),
+        # Per-tier outcomes, each tier judged against its own scaled SLO.
+        "tier_report": metrics.tier_report(tier_slos(slo)),
+    }
+    return run
 
 
 def run_chaos_matrix(
+    base: ExperimentSpec,
     systems: Sequence[str] = DEFAULT_CHAOS_SYSTEMS,
     plans: Sequence[str] = DEFAULT_CHAOS_PLANS,
-    **spec_kwargs,
-) -> list[ChaosResult]:
+) -> ArmSetReport:
     """Sweep fault plans across systems, with a per-system healthy baseline.
 
     Each system first runs the ``"none"`` plan (same workload, no faults) to
-    anchor ``goodput_vs_healthy``; the baseline rows are included.
+    anchor ``goodput_vs_healthy``; the baseline arms are included.
     """
-    results = []
+    runs = {}
     for system in systems:
-        baseline = run_chaos(ChaosSpec(system=system, fault_plan="none", **spec_kwargs))
-        results.append(baseline)
+        healthy = run_chaos(replace(base, system=system, fault_plan="none"))
+        runs[healthy.name] = healthy
         for plan in plans:
-            if plan == "none":
-                continue
-            results.append(
-                run_chaos(
-                    ChaosSpec(system=system, fault_plan=plan, **spec_kwargs),
-                    healthy_completed=baseline.completed,
+            if plan != "none":
+                run = run_chaos(
+                    replace(base, system=system, fault_plan=plan),
+                    healthy_completed=healthy.derived["completed"],
                 )
-            )
-    return results
+                runs[run.name] = run
+    return ArmSetReport(spec=scalar_fields(base), runs=runs)
 
 
 # -- fleet chaos ---------------------------------------------------------------
@@ -456,15 +194,6 @@ class FleetChaosSpec:
     # home-node GPUs when a member is declared dead).
     replan: bool = False
 
-    def parsed_tier_mix(self) -> Optional[TierMix]:
-        return TierMix.parse(self.tier_mix) if self.tier_mix else None
-
-    def parsed_prefix_mix(self) -> Optional[PrefixMix]:
-        return PrefixMix.parse(self.prefix_mix) if self.prefix_mix else None
-
-    def parsed_tenant_mix(self) -> Optional[TenantMix]:
-        return TenantMix.parse(self.tenant_mix) if self.tenant_mix else None
-
     def parsed_shape(self):
         from repro.core.config import FleetShape
 
@@ -476,54 +205,6 @@ class FleetChaosSpec:
         if parsed is not None:
             return len(parsed)
         return self.num_nodes * self.pairs_per_node
-
-
-@dataclass
-class FleetChaosResult:
-    """Outcome of one fleet chaos run."""
-
-    spec: FleetChaosSpec
-    submitted: int
-    completed: int
-    shed: int
-    retried: int
-    cross_node_retries: int
-    resilience: dict
-    fleet_resilience: dict
-    fingerprint: str
-    plan_events: list[dict]
-    # Per-tier completed/shed/goodput/attainment across the merged fleet.
-    tier_report: dict = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def row(self) -> dict:
-        out = {
-            "plan": self.spec.fault_plan,
-            "members": self.spec.num_members,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "retried": self.retried,
-            "cross_node_retries": self.cross_node_retries,
-        }
-        out.update(
-            {
-                k: self.fleet_resilience[k]
-                for k in (
-                    "member_crashes",
-                    "member_detection_latency_s",
-                    "member_downtime_s",
-                    "replacement_lag_s",
-                )
-            }
-        )
-        out["transfer_retries"] = self.resilience["transfer_retries"]
-        out["invariants"] = "ok" if self.passed else "VIOLATED"
-        return out
 
 
 def build_chaos_fleet(spec: FleetChaosSpec):
@@ -586,86 +267,70 @@ def build_chaos_fleet(spec: FleetChaosSpec):
     return fleet
 
 
-def fleet_chaos_invariants(fleet, submitted: Sequence[Request]) -> list[str]:
-    """Every invariant a fleet chaos run must keep, retry- and shed-aware."""
-    metrics = fleet.merged_metrics()
-    problems = chaos_conservation(submitted, metrics.completed, metrics.shed)
-    problems.extend(chaos_tier_conservation(submitted, metrics.completed, metrics.shed))
-    problems.extend(
-        chaos_tenant_conservation(submitted, metrics.completed, metrics.shed)
-    )
-    problems.extend(check_token_causality(metrics.completed))
-    problems.extend(check_monotonic_times(metrics.completed))
-    for request in metrics.completed:
-        problems.extend(audit_request(request))
-    for member in fleet.members:
-        problems.extend(chaos_kv_lifecycle(member))
-        for instance in member.instances:
-            if instance.failed:
-                problems.append(
-                    f"{member.name}/{instance.name}: still failed after the drain"
-                )
-            if instance.waiting:
-                problems.append(
-                    f"{member.name}/{instance.name}: "
-                    f"{len(instance.waiting)} requests stuck waiting"
-                )
-            if instance.total_running:
-                problems.append(
-                    f"{member.name}/{instance.name}: "
-                    f"{instance.total_running} requests stuck running"
-                )
-    if fleet.crashed:
-        problems.append(f"members still crashed after the drain: {sorted(fleet.crashed)}")
-    if fleet.failed:
-        problems.append(f"failure knowledge never cleared: {sorted(fleet.failed)}")
-    return problems
-
-
-def run_fleet_chaos(spec: FleetChaosSpec) -> FleetChaosResult:
-    """Run one fleet chaos point to completion and check its invariants."""
-    fleet = build_chaos_fleet(spec)
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * fleet.num_gpus,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=spec.parsed_tier_mix(),
-        prefix_mix=spec.parsed_prefix_mix(),
-        tenant_mix=spec.parsed_tenant_mix(),
-    )
-    submitted = clone_requests(workload_rows(workload))
-    horizon = max(r.arrival_time for r in submitted)
-    plan = build_fleet_fault_plan(spec.fault_plan, horizon, seed=spec.seed)
-    FleetFaultInjector(fleet, plan).arm()
-    metrics = fleet.run_to_completion(submitted)
-    base_slo = derive_slo(
+def fleet_slo(spec: FleetChaosSpec):
+    """The SLO fleets are judged by: one TP-2 pair's, from the paper's rule."""
+    return derive_slo(
         get_model(spec.model), get_dataset(spec.dataset), ParallelConfig(tp=2)
     )
-    return FleetChaosResult(
-        spec=spec,
-        submitted=len(submitted),
-        completed=len(metrics.completed),
-        shed=len(metrics.shed),
-        retried=fleet.retried,
-        cross_node_retries=fleet.cross_node_retries,
-        resilience=metrics.resilience_summary(),
-        fleet_resilience=fleet.fleet_resilience_summary(),
-        fingerprint=fleet.run_fingerprint(workload.rng_registry).value,
-        plan_events=plan.describe(),
-        tier_report=chaos_tier_report(metrics, base_slo),
-        violations=fleet_chaos_invariants(fleet, submitted),
+
+
+def run_fleet_arm(
+    name: str,
+    spec: FleetChaosSpec,
+    trace: Optional[Trace] = None,
+    fault_plan: Optional[str] = None,
+) -> ArmRun:
+    """Build ``spec``'s fleet and run it as one arm over ``trace``.
+
+    ``trace`` defaults to ``spec``'s own workload; comparison harnesses
+    pass one shared trace to every arm.  ``fault_plan`` None runs fault-free
+    with no injector armed; ``spec.fault_plan`` is not read here.
+    """
+    fleet = build_chaos_fleet(spec)
+    if trace is None:
+        trace = generate_workload(spec, fleet.num_gpus)
+    return run_arm(
+        name, fleet, workload_rows(trace), fault_plan, spec.seed, trace.rng_registry
     )
+
+
+def run_fleet_chaos(spec: FleetChaosSpec) -> ArmRun:
+    """Run one fleet chaos point to completion and check its invariants."""
+    run = run_fleet_arm(spec.fault_plan, spec, fault_plan=spec.fault_plan)
+    fleet, metrics = run.target, run.metrics
+    resilience = metrics.resilience_summary()
+    fleet_resilience = fleet.fleet_resilience_summary()
+    run.derived = {
+        "plan": spec.fault_plan,
+        "members": spec.num_members,
+        "submitted": len(run.submitted),
+        "completed": len(metrics.completed),
+        "shed": len(metrics.shed),
+        "retried": fleet.retried,
+        "cross_node_retries": fleet.cross_node_retries,
+        **_pick(
+            fleet_resilience,
+            "member_crashes",
+            "member_detection_latency_s",
+            "member_downtime_s",
+            "replacement_lag_s",
+        ),
+        "transfer_retries": resilience["transfer_retries"],
+        "resilience": resilience,
+        "fleet_resilience": fleet_resilience,
+        "plan_events": run.plan_events,
+        # Per-tier outcomes across the merged fleet.
+        "tier_report": metrics.tier_report(tier_slos(fleet_slo(spec))),
+    }
+    return run
 
 
 def run_fleet_chaos_matrix(
-    plans: Sequence[str] = DEFAULT_FLEET_CHAOS_PLANS, **spec_kwargs
-) -> list[FleetChaosResult]:
+    base: FleetChaosSpec, plans: Sequence[str] = DEFAULT_FLEET_CHAOS_PLANS
+) -> ArmSetReport:
     """Sweep fleet fault plans over one fleet configuration."""
-    return [
-        run_fleet_chaos(FleetChaosSpec(fault_plan=plan, **spec_kwargs))
-        for plan in plans
-    ]
+    runs = {}
+    for plan in plans:
+        run = run_fleet_chaos(replace(base, fault_plan=plan))
+        runs[run.name] = run
+    return ArmSetReport(spec=scalar_fields(base), runs=runs)

@@ -1,298 +1,74 @@
 """Differential runner: WindServe vs baselines on an identical arrival trace.
 
-Different schedulers are free to produce different *latencies*, but a set
-of invariants must hold for every correct serving system fed the same
-workload: requests are conserved (every submitted request completes exactly
-once), no output token appears before its prefill completes, per-request
-event timestamps are monotone, and every KV allocation is freed exactly
-once.  Running WindServe and the DistServe/vLLM baselines side by side on
-a byte-identical arrival trace and asserting these shared invariants turns
-any scheduler bug that breaks accounting into a hard failure — independent
-of the golden store, which only pins exact behaviour per scheduler.
+Different schedulers are free to produce different *latencies*, but every
+correct serving system fed the same workload must keep the invariants of
+:func:`~repro.serving.audit.audit_run`.  Running WindServe and the
+DistServe/vLLM baselines side by side on a byte-identical arrival trace
+and auditing every arm turns any scheduler bug that breaks accounting into
+a hard failure — independent of the golden store, which only pins exact
+behaviour per scheduler.  These arms run fault-free under ``nested-caps``,
+which never sheds, so a shed request is a violation here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
-from repro.models.registry import get_model
-from repro.serving.audit import audit_system
-from repro.serving.request import DEFAULT_TENANT, DEFAULT_TIER, Request
-from repro.sim.fingerprint import digest_lines, canonical_json
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import Trace, generate_trace
+from repro.harness.runner import (
+    ArmSetReport,
+    ExperimentSpec,
+    build_system,
+    generate_workload,
+    no_shed,
+    resolve_slo,
+    rows_fingerprint,
+    run_arm,
+    scalar_fields,
+)
+from repro.workloads.trace import workload_rows
 
 DEFAULT_SYSTEMS = ("windserve", "distserve", "vllm")
 
-_TIME_EPS = 1e-9
+#: The default comparison point: a small Poisson ShareGPT workload.
+DEFAULT_SPEC = ExperimentSpec(
+    system=DEFAULT_SYSTEMS[0],
+    model="opt-13b",
+    dataset="sharegpt",
+    rate_per_gpu=3.0,
+    num_requests=40,
+)
 
 
-@dataclass(frozen=True)
-class DifferentialSpec:
-    """One workload point the systems are compared on."""
+def run_differential(
+    base: Optional[ExperimentSpec] = None, systems: Sequence[str] = DEFAULT_SYSTEMS
+) -> ArmSetReport:
+    """Run every system in ``systems`` on one byte-identical workload.
 
-    model: str = "opt-13b"
-    dataset: str = "sharegpt"
-    rate_per_gpu: float = 3.0
-    num_requests: int = 40
-    seed: int = 0
-    arrival_process: str = "poisson"
-    burstiness_cv: float = 2.0
-    systems: tuple[str, ...] = DEFAULT_SYSTEMS
-
-    def experiment(self, system: str) -> ExperimentSpec:
-        return ExperimentSpec(
-            system=system,
-            model=self.model,
-            dataset=self.dataset,
-            rate_per_gpu=self.rate_per_gpu,
-            num_requests=self.num_requests,
-            seed=self.seed,
-            arrival_process=self.arrival_process,
-            burstiness_cv=self.burstiness_cv,
-        )
-
-
-@dataclass
-class SystemOutcome:
-    """Per-system results of one differential run."""
-
-    system: str
-    completed: int
-    violations: list[str] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-
-@dataclass
-class DifferentialReport:
-    """Everything a differential run observed."""
-
-    spec: DifferentialSpec
-    workload_fingerprint: str
-    outcomes: list[SystemOutcome] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[str]:
-        out = []
-        for outcome in self.outcomes:
-            out.extend(f"{outcome.system}: {v}" for v in outcome.violations)
-        return out
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def report(self) -> str:
-        lines = [
-            f"differential run: {self.spec.num_requests} requests, "
-            f"rate={self.spec.rate_per_gpu}/GPU, seed={self.spec.seed}, "
-            f"workload {self.workload_fingerprint[:12]}"
-        ]
-        for outcome in self.outcomes:
-            status = "ok" if not outcome.violations else "VIOLATED"
-            lines.append(f"  [{status}] {outcome.system}: {outcome.completed} completed")
-            lines.extend(f"      {v}" for v in outcome.violations)
-        return "\n".join(lines)
-
-
-# -- workload cloning ---------------------------------------------------------
-
-
-def workload_rows(trace: Trace) -> list[dict]:
-    """The arrival trace reduced to its defining bytes.
-
-    The tier key rides along only when a request carries a non-default SLO
-    tier, so tier-free workload fingerprints are unchanged.
+    The arrival trace is generated once from ``base``, reduced to its
+    defining rows, and each arm receives freshly cloned request objects.
     """
-    rows = []
-    for r in trace:
-        row = {
-            "id": r.request_id,
-            "arrival": r.arrival_time,
-            "prompt": r.prompt_tokens,
-            "output": r.output_tokens,
-        }
-        if r.tier != DEFAULT_TIER:
-            row["tier"] = r.tier
-        if r.prefix_len:
-            row["prefix_hash"] = r.prefix_hash
-            row["prefix_len"] = r.prefix_len
-        if r.tenant != DEFAULT_TENANT:
-            row["tenant"] = r.tenant
-        rows.append(row)
-    return rows
-
-
-def clone_requests(rows: Sequence[dict]) -> list[Request]:
-    """Fresh, unmutated request objects for one system's run."""
-    return [
-        Request(
-            request_id=row["id"],
-            prompt_tokens=row["prompt"],
-            output_tokens=row["output"],
-            arrival_time=row["arrival"],
-            tier=row.get("tier", DEFAULT_TIER),
-            prefix_hash=row.get("prefix_hash", 0),
-            prefix_len=row.get("prefix_len", 0),
-            tenant=row.get("tenant", DEFAULT_TENANT),
-        )
-        for row in rows
-    ]
-
-
-# -- invariants ---------------------------------------------------------------
-
-
-def check_conservation(submitted: Sequence[Request], completed: Sequence[Request]) -> list[str]:
-    """Every submitted request completes exactly once; no extras appear."""
-    problems = []
-    submitted_ids = [r.request_id for r in submitted]
-    completed_ids = [r.request_id for r in completed]
-    duplicates = {rid for rid in completed_ids if completed_ids.count(rid) > 1}
-    if duplicates:
-        problems.append(f"requests completed more than once: {sorted(duplicates)[:5]}")
-    missing = set(submitted_ids) - set(completed_ids)
-    if missing:
-        problems.append(f"requests lost: {sorted(missing)[:5]}")
-    phantom = set(completed_ids) - set(submitted_ids)
-    if phantom:
-        problems.append(f"phantom completions never submitted: {sorted(phantom)[:5]}")
-    return problems
-
-
-def check_token_causality(completed: Sequence[Request]) -> list[str]:
-    """No token is generated before its prefill completes."""
-    problems = []
-    for request in completed:
-        rid = request.request_id
-        if not request.prefill_done:
-            problems.append(
-                f"request {rid}: finished with incomplete prefill "
-                f"({request.prefilled_tokens}/{request.prefill_required} tokens)"
-            )
-        if request.output_generated != request.output_tokens:
-            problems.append(
-                f"request {rid}: generated {request.output_generated} of "
-                f"{request.output_tokens} tokens"
-            )
-        if (
-            request.first_token_time is not None
-            and request.prefill_start is not None
-            and request.first_token_time < request.prefill_start - _TIME_EPS
-        ):
-            problems.append(
-                f"request {rid}: first token at {request.first_token_time:.6f} "
-                f"before prefill started at {request.prefill_start:.6f}"
-            )
-    return problems
-
-
-def check_monotonic_times(completed: Sequence[Request]) -> list[str]:
-    """Per-request lifecycle timestamps never run backwards."""
-    problems = []
-    for request in completed:
-        rid = request.request_id
-        chain = [("arrival", request.arrival_time)]
-        if request.prefill_start is not None:
-            chain.append(("prefill_start", request.prefill_start))
-        if request.first_token_time is not None:
-            chain.append(("first_token", request.first_token_time))
-        if request.decode_start is not None:
-            chain.append(("decode_start", request.decode_start))
-        if request.finish_time is not None:
-            chain.append(("finish", request.finish_time))
-        for (name_a, a), (name_b, b) in zip(chain, chain[1:]):
-            if b < a - _TIME_EPS:
-                problems.append(
-                    f"request {rid}: {name_b} ({b:.6f}) precedes {name_a} ({a:.6f})"
-                )
-        if (
-            request.decode_queue_enter is not None
-            and request.decode_start is not None
-            and request.decode_start < request.decode_queue_enter - _TIME_EPS
-        ):
-            problems.append(
-                f"request {rid}: decode started before entering the decode queue"
-            )
-    return problems
-
-
-def check_kv_lifecycle(system) -> list[str]:
-    """Every KV allocation is matched by exactly one free, per manager.
-
-    A still-warm prefix cache is drained first (idempotently): deliberate
-    warm residency is not a leak, but its blocks must still balance.
-    """
-    problems = []
-    for instance in system.instances:
-        cache = getattr(instance, "prefix_cache", None)
-        if cache is not None:
-            cache.drain()
-        kv = instance.kv
-        unbalanced = {
-            rid: (kv.alloc_events[rid], kv.free_events[rid])
-            for rid in set(kv.alloc_events) | set(kv.free_events)
-            if kv.alloc_events[rid] != kv.free_events[rid]
-        }
-        if unbalanced:
-            sample = dict(sorted(unbalanced.items())[:5])
-            problems.append(
-                f"{instance.name}: alloc/free imbalance (rid -> allocs,frees) {sample}"
-            )
-        if kv.used_gpu_blocks != 0:
-            problems.append(
-                f"{instance.name}: {kv.used_gpu_blocks} GPU KV blocks still reserved"
-            )
-    return problems
-
-
-# -- the runner ---------------------------------------------------------------
-
-
-def run_differential(spec: Optional[DifferentialSpec] = None) -> DifferentialReport:
-    """Run every system in ``spec.systems`` on one byte-identical workload.
-
-    The arrival trace is generated once, reduced to its defining rows, and
-    each system receives freshly cloned (never-mutated) request objects —
-    so all systems see the exact same bytes regardless of how a previous
-    run mangled its requests.
-    """
-    spec = spec or DifferentialSpec()
-    base = spec.experiment(spec.systems[0])
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * base.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-    )
-    rows = workload_rows(workload)
-    report = DifferentialReport(
-        spec=spec,
-        workload_fingerprint=digest_lines(canonical_json(row) for row in rows),
-    )
-
-    for name in spec.systems:
-        experiment = spec.experiment(name)
-        if experiment.gpus_used != base.gpus_used:
+    base = base or DEFAULT_SPEC
+    trace = generate_workload(base, base.gpus_used)
+    rows = workload_rows(trace)
+    runs = {}
+    for name in systems:
+        spec = replace(base, system=name)
+        if spec.gpus_used != base.gpus_used:
             raise ValueError(
-                f"system {name} uses {experiment.gpus_used} GPUs vs {base.gpus_used}; "
+                f"system {name} uses {spec.gpus_used} GPUs vs {base.gpus_used}; "
                 "the shared workload rate would differ"
             )
-        system = build_system(experiment, resolve_slo(experiment))
-        submitted = clone_requests(rows)
-        metrics = system.run_to_completion(submitted)
-        outcome = SystemOutcome(
-            system=name, completed=len(metrics.completed), summary=metrics.summary()
-        )
-        outcome.violations.extend(check_conservation(submitted, metrics.completed))
-        outcome.violations.extend(check_token_causality(metrics.completed))
-        outcome.violations.extend(check_monotonic_times(metrics.completed))
-        outcome.violations.extend(check_kv_lifecycle(system))
-        outcome.violations.extend(audit_system(system, submitted))
-        report.outcomes.append(outcome)
-    return report
+        system = build_system(spec, resolve_slo(spec))
+        run = run_arm(name, system, rows, rng_registry=trace.rng_registry)
+        run.violations.extend(no_shed(run))
+        run.derived = {
+            "system": name,
+            "completed": len(run.metrics.completed),
+            "shed": len(run.metrics.shed),
+            "summary": run.metrics.summary(),
+        }
+        runs[name] = run
+    return ArmSetReport(
+        spec=scalar_fields(base), runs=runs, workload_fingerprint=rows_fingerprint(rows)
+    )

@@ -29,10 +29,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.faults.config import ResilienceConfig
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
+from repro.harness.runner import (
+    ExperimentSpec,
+    build_system,
+    generate_workload,
+    resolve_slo,
+    run_arm,
+)
 from repro.policies.fairshare import FairShareConfig
-from repro.models.registry import get_model
-from repro.workloads.arrivals import TierMix
 from repro.serving.instance import InstanceConfig
 from repro.sim.fingerprint import (
     RunFingerprint,
@@ -40,10 +44,7 @@ from repro.sim.fingerprint import (
     request_row,
 )
 from repro.sim.trace import TraceLog
-from repro.workloads.datasets import get_dataset
-from repro.workloads.prefixes import PrefixMix
-from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import workload_rows
 
 #: Default location of the golden store, relative to the repo root.
 DEFAULT_GOLDEN_DIR = Path("tests") / "golden"
@@ -196,6 +197,7 @@ class GoldenScenario:
             admission_policy=self.admission_policy,
             tenant_mix=self.tenant_mix,
             fairshare=self.fairshare_config(),
+            fault_plan=self.fault_plan,
         )
 
     def meta(self) -> dict:
@@ -479,13 +481,14 @@ class GoldenRun:
     event_rows: list[dict]
     request_rows: list[dict]
     rng_registry: tuple[str, ...]
+    # audit_run's findings; a golden run with any is a failure.
+    violations: list[str] = field(default_factory=list)
 
 
-def _run_fleet_scenario(scenario: GoldenScenario) -> GoldenRun:
-    from repro.faults import FleetFaultInjector, build_fleet_fault_plan
-    from repro.harness.chaos import FleetChaosSpec, build_chaos_fleet
+def _fleet_spec(scenario: GoldenScenario):
+    from repro.harness.chaos import FleetChaosSpec
 
-    spec = FleetChaosSpec(
+    return FleetChaosSpec(
         fault_plan=scenario.fault_plan or "none",
         model=scenario.model,
         dataset=scenario.dataset,
@@ -508,86 +511,62 @@ def _run_fleet_scenario(scenario: GoldenScenario) -> GoldenRun:
         shape=scenario.fleet_shape,
         replan=scenario.fleet_replan,
     )
-    fleet = build_chaos_fleet(spec)
-    golden_log = TraceLog(enabled=True, tag_filter=lambda tag: tag in GOLDEN_TAGS)
-    fleet.trace = golden_log
-    for member in fleet.members:
-        member.trace = golden_log
-        member.transfers.trace = golden_log
-        for instance in member.instances:
-            instance.trace = golden_log
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * fleet.num_gpus,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=spec.parsed_tier_mix(),
-        prefix_mix=spec.parsed_prefix_mix(),
-        tenant_mix=spec.parsed_tenant_mix(),
-    )
-    horizon = max(r.arrival_time for r in workload)
-    plan = build_fleet_fault_plan(spec.fault_plan, horizon, seed=spec.seed)
-    FleetFaultInjector(fleet, plan).arm()
-    metrics = fleet.run_to_completion(workload)
-    return GoldenRun(
-        scenario=scenario,
-        fingerprint=fleet.run_fingerprint(workload.rng_registry),
-        event_rows=golden_log.to_rows(),
-        request_rows=sorted(
-            (request_row(r) for r in metrics.completed), key=lambda r: r["id"]
-        ),
-        rng_registry=workload.rng_registry,
-    )
 
 
 def run_scenario(scenario: GoldenScenario) -> GoldenRun:
-    """Run one golden scenario deterministically and capture its artefacts."""
-    if scenario.fleet_nodes:
-        return _run_fleet_scenario(scenario)
-    spec = scenario.spec()
-    system = build_system(spec, resolve_slo(spec))
-    # Tracing is off by default for speed; golden runs need the filtered
-    # stream, and instances share the system's TraceLog object.
-    golden_log = TraceLog(enabled=True, tag_filter=lambda tag: tag in GOLDEN_TAGS)
-    system.trace = golden_log
-    system.transfers.trace = golden_log
-    for instance in system.instances:
-        instance.trace = golden_log
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * spec.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=TierMix.parse(scenario.tier_mix) if scenario.tier_mix else None,
-        prefix_mix=(
-            PrefixMix.parse(scenario.prefix_mix) if scenario.prefix_mix else None
-        ),
-        tenant_mix=(
-            TenantMix.parse(scenario.tenant_mix) if scenario.tenant_mix else None
-        ),
-    )
-    if scenario.fault_plan is not None:
-        from repro.faults import FaultInjector, build_fault_plan
+    """Run one golden scenario deterministically and capture its artefacts.
 
-        horizon = max(r.arrival_time for r in workload)
-        plan = build_fault_plan(scenario.fault_plan, horizon, seed=spec.seed)
-        FaultInjector(system, plan).arm()
-    system.run_to_completion(workload)
+    The run goes through the shared arm kernel, so it is audited by
+    :func:`~repro.serving.audit.audit_run` after fingerprinting.
+    """
+    # Tracing is off by default for speed; golden runs need the filtered
+    # stream, shared by every system, instance and transfer engine.
+    golden_log = TraceLog(enabled=True, tag_filter=lambda tag: tag in GOLDEN_TAGS)
+    if scenario.fleet_nodes:
+        from repro.harness.chaos import build_chaos_fleet
+
+        spec = _fleet_spec(scenario)
+        target = build_chaos_fleet(spec)
+        target.trace = golden_log
+        systems, num_gpus = target.members, target.num_gpus
+    else:
+        spec = scenario.spec()
+        target = build_system(spec, resolve_slo(spec))
+        systems, num_gpus = [target], spec.gpus_used
+    for system in systems:
+        system.trace = golden_log
+        system.transfers.trace = golden_log
+        for instance in system.instances:
+            instance.trace = golden_log
+    workload = generate_workload(spec, num_gpus)
+    run = run_arm(
+        scenario.name,
+        target,
+        workload_rows(workload),
+        spec.fault_plan,
+        spec.seed,
+        workload.rng_registry,
+    )
     return GoldenRun(
         scenario=scenario,
-        fingerprint=system.run_fingerprint(workload.rng_registry),
-        event_rows=system.trace.to_rows(),
+        fingerprint=run.fingerprint,
+        event_rows=golden_log.to_rows(),
         request_rows=sorted(
-            (request_row(r) for r in system.metrics.completed), key=lambda r: r["id"]
+            (request_row(r) for r in run.metrics.completed), key=lambda r: r["id"]
         ),
         rng_registry=workload.rng_registry,
+        violations=run.violations,
     )
+
+
+def _audited(run: GoldenRun) -> GoldenRun:
+    """``run``, refusing one that breaks an invariant (never record it)."""
+    if run.violations:
+        raise ValueError(
+            f"golden scenario {run.scenario.name} violates invariants: "
+            + "; ".join(run.violations[:5])
+        )
+    return run
 
 
 # -- store I/O ----------------------------------------------------------------
@@ -678,7 +657,8 @@ def record_goldens(
     paths = []
     provenance = initial_provenance(reason, tag)
     for scenario in _select(only):
-        paths.append(save_golden(run_scenario(scenario), directory, dict(provenance)))
+        run = _audited(run_scenario(scenario))
+        paths.append(save_golden(run, directory, dict(provenance)))
     return paths
 
 
@@ -767,7 +747,7 @@ def rerecord_goldens(
                 f"with `python -m repro golden record`, not rerecord"
             )
         old_header, old_events = load_golden(path, allow_old=True)
-        run = run_scenario(scenario)
+        run = _audited(run_scenario(scenario))
         prior_fp = _fingerprint_from_header(old_header["fingerprint"])
         changed = prior_fp.explain_mismatch(run.fingerprint)
         old_provenance = old_header.get("provenance") or {}
@@ -1012,6 +992,7 @@ def _first_request_divergence(
 def diff_against_golden(path: Path, run: GoldenRun) -> GoldenDiff:
     """Compare a fresh run against its stored golden file."""
     diff = GoldenDiff(scenario=run.scenario.name)
+    diff.messages.extend(f"invariant violated: {v}" for v in run.violations)
     header, expected_events = load_golden(path)
     if header["combined"] == run.fingerprint.value:
         return diff

@@ -18,25 +18,22 @@ workloads, one knob flipped per comparison:
   the crash-requeue path — recover at least as much SLO-met goodput as
   running degraded?
 
-Every cell runs the full fleet chaos invariant suite (conservation, token
-causality, monotone timestamps, KV freed exactly once, no stuck work), so
-the verdicts are only trusted when the bookkeeping balances.
+Every arm is audited by :func:`~repro.serving.audit.audit_run`, so the
+verdicts are only trusted when the bookkeeping balances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Optional
 
-from repro.faults import FleetFaultInjector
-from repro.faults.plan import build_fleet_fault_plan
-from repro.harness.chaos import fleet_chaos_invariants
-from repro.harness.differential import clone_requests, workload_rows
-from repro.harness.slo import derive_slo
-from repro.models.parallelism import ParallelConfig
-from repro.models.registry import get_model
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import generate_trace
+from repro.harness.chaos import (
+    FleetChaosSpec,
+    build_chaos_fleet,
+    fleet_slo,
+    run_fleet_arm,
+)
+from repro.harness.runner import ArmRun, ArmSetReport, generate_workload, scalar_fields
 
 #: Mixed shape whose member 1 — the ``member-crash`` plan's target — is
 #: the fast (H100) member.  The A800 members run deliberately narrow
@@ -46,222 +43,96 @@ from repro.workloads.trace import generate_trace
 #: re-queueing the survivor's in-flight work through the rebuild.
 DEFAULT_SHAPE = "a800:1:1x1+1x1,h100:1:2x1+2x1,a800:1:1x1+1x1"
 
-DEFAULT_ROUTERS = ("least-loaded", "predicted-ttft")
+#: Routing arms: (baseline, challenger) — the challenger must win mean TTFT.
+ROUTERS = ("least-loaded", "predicted-ttft")
+
+#: Router the re-planning arms run under (the hetero-correct one).
+REPLAN_ROUTER = "predicted-ttft"
+
+#: The default comparison point; ``fault_plan`` is the plan both crash
+#: arms run under.
+DEFAULT_SPEC = FleetChaosSpec(
+    fault_plan="member-crash",
+    rate_per_gpu=3.0,
+    num_requests=480,
+    pairs_per_node=1,
+    shape=DEFAULT_SHAPE,
+)
 
 
-@dataclass(frozen=True)
-class HeteroComparisonSpec:
-    """One heterogeneous-fleet comparison point (both arms)."""
-
-    shape: str = DEFAULT_SHAPE
-    model: str = "opt-13b"
-    dataset: str = "sharegpt"
-    rate_per_gpu: float = 3.0
-    num_requests: int = 480
-    seed: int = 0
-    pairs_per_node: int = 1
-    #: Routing arm: (baseline, challenger) — challenger must win mean TTFT.
-    routers: tuple[str, ...] = DEFAULT_ROUTERS
-    #: Re-planning arm: the fault plan both cells run under.
-    fault_plan: str = "member-crash"
-    #: Router the re-planning arm runs under (the hetero-correct one).
-    replan_router: str = "predicted-ttft"
-
-    def parsed_shape(self):
-        from repro.core.config import FleetShape
-
-        return FleetShape.parse(self.shape)
-
-
-@dataclass
-class HeteroRunResult:
-    """One cell: a (router, fault-plan, replan) combination's outcome."""
-
-    label: str
-    router: str
-    fault_plan: Optional[str]
-    replan: bool
-    submitted: int
-    completed: int
-    shed: int
-    retried: int
-    mean_ttft: float
-    slo_attainment: float
-    slo_goodput: int  # completed requests that met the reference SLO
-    members_replanned: int
-    replan_requeues: int
-    replans: list[dict]
-    fingerprint: str
-    violations: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "router": self.router,
-            "fault_plan": self.fault_plan,
-            "replan": self.replan,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "retried": self.retried,
-            "mean_ttft": self.mean_ttft,
-            "slo_attainment": self.slo_attainment,
-            "slo_goodput": self.slo_goodput,
-            "members_replanned": self.members_replanned,
-            "replan_requeues": self.replan_requeues,
-            "replans": self.replans,
-            "fingerprint": self.fingerprint,
-            "violations": self.violations,
-        }
-
-
-@dataclass
-class HeteroComparisonReport:
-    """All four cells plus the two verdicts the CI smoke asserts on."""
-
-    spec: HeteroComparisonSpec
-    runs: dict[str, HeteroRunResult]
-
-    @property
-    def routing_wins(self) -> bool:
-        """The seconds-based router beats count-based on mean TTFT."""
-        baseline = self.runs.get(f"route:{self.spec.routers[0]}")
-        challenger = self.runs.get(f"route:{self.spec.routers[-1]}")
-        if baseline is None or challenger is None:
-            return False
-        return challenger.mean_ttft < baseline.mean_ttft
-
-    @property
-    def replan_recovers(self) -> bool:
-        """Re-planning recovers at least the degraded run's goodput."""
-        degraded = self.runs.get("crash:no-replan")
-        replanned = self.runs.get("crash:replan")
-        if degraded is None or replanned is None:
-            return False
-        return (
-            replanned.members_replanned > 0
-            and replanned.slo_goodput >= degraded.slo_goodput
-        )
-
-    @property
-    def passed(self) -> bool:
-        return all(not run.violations for run in self.runs.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "spec": {
-                "shape": self.spec.shape,
-                "model": self.spec.model,
-                "dataset": self.spec.dataset,
-                "rate_per_gpu": self.spec.rate_per_gpu,
-                "num_requests": self.spec.num_requests,
-                "seed": self.spec.seed,
-                "pairs_per_node": self.spec.pairs_per_node,
-                "routers": list(self.spec.routers),
-                "fault_plan": self.spec.fault_plan,
-                "replan_router": self.spec.replan_router,
-            },
-            "runs": {name: run.as_dict() for name, run in self.runs.items()},
-            "routing_wins": self.routing_wins,
-            "replan_recovers": self.replan_recovers,
-            "passed": self.passed,
-        }
-
-
-def _build_fleet(spec: HeteroComparisonSpec, router: str, replan: bool):
-    from repro.core.fleet import build_windserve_fleet
-    from repro.core.replan import FleetReplanner
-    from repro.serving.system import SystemConfig
-
-    config = SystemConfig(model=get_model(spec.model))
-    fleet = build_windserve_fleet(
-        config,
-        pairs_per_node=spec.pairs_per_node,
-        policy=router,
-        shape=spec.parsed_shape(),
-    )
-    if replan:
-        fleet.replanner = FleetReplanner()
-    return fleet
-
-
-def run_one_cell(
-    spec: HeteroComparisonSpec,
-    label: str,
-    router: str,
-    rows,
-    rng_registry=(),
-    fault_plan: Optional[str] = None,
-    replan: bool = False,
-) -> HeteroRunResult:
-    """Run one cell over a cloned copy of the shared workload."""
-    fleet = _build_fleet(spec, router, replan)
-    submitted = clone_requests(rows)
-    if fault_plan is not None:
-        horizon = max(r.arrival_time for r in submitted)
-        plan = build_fleet_fault_plan(fault_plan, horizon, seed=spec.seed)
-        FleetFaultInjector(fleet, plan).arm()
-    metrics = fleet.run_to_completion(submitted)
-
-    slo = derive_slo(
-        get_model(spec.model), get_dataset(spec.dataset), ParallelConfig(tp=2)
-    )
-    completed = metrics.completed
+def _hetero_row(
+    run: ArmRun, spec: FleetChaosSpec, fault_plan: Optional[str], slo
+) -> dict:
+    fleet, completed = run.target, run.metrics.completed
     ttfts = [r.ttft for r in completed if r.ttft is not None]
     met = sum(1 for r in completed if slo.met_by(r))
-    replanner = fleet.replanner
+    submitted = len(run.submitted)
+    return {
+        "label": run.name,
+        "router": spec.policy,
+        "fault_plan": fault_plan,
+        "replan": spec.replan,
+        "submitted": submitted,
+        "completed": len(completed),
+        "shed": len(run.metrics.shed),
+        "retried": fleet.retried,
+        "mean_ttft": sum(ttfts) / len(ttfts) if ttfts else 0.0,
+        "slo_attainment": met / submitted if submitted else 0.0,
+        "slo_goodput": met,  # completed requests that met the reference SLO
+        "members_replanned": fleet.replanned_members,
+        "replan_requeues": fleet.replan_requeues,
+        "replans": list(fleet.replanner.replans) if fleet.replanner else [],
+    }
 
-    return HeteroRunResult(
-        label=label,
-        router=router,
-        fault_plan=fault_plan,
-        replan=replan,
-        submitted=len(submitted),
-        completed=len(completed),
-        shed=len(metrics.shed),
-        retried=fleet.retried,
-        mean_ttft=sum(ttfts) / len(ttfts) if ttfts else 0.0,
-        slo_attainment=met / len(submitted) if submitted else 0.0,
-        slo_goodput=met,
-        members_replanned=fleet.replanned_members,
-        replan_requeues=fleet.replan_requeues,
-        replans=list(replanner.replans) if replanner is not None else [],
-        fingerprint=fleet.run_fingerprint(rng_registry).value,
-        violations=fleet_chaos_invariants(fleet, submitted),
+
+def routing_wins(rows: dict[str, dict]) -> bool:
+    """The seconds-based router beats count-based on mean TTFT."""
+    baseline = rows.get(f"route:{ROUTERS[0]}")
+    challenger = rows.get(f"route:{ROUTERS[-1]}")
+    if baseline is None or challenger is None:
+        return False
+    return challenger["mean_ttft"] < baseline["mean_ttft"]
+
+
+def replan_recovers(rows: dict[str, dict]) -> bool:
+    """Re-planning recovers at least the degraded run's goodput."""
+    degraded, replanned = rows.get("crash:no-replan"), rows.get("crash:replan")
+    if degraded is None or replanned is None:
+        return False
+    return (
+        replanned["members_replanned"] > 0
+        and replanned["slo_goodput"] >= degraded["slo_goodput"]
     )
 
 
-def run_hetero_comparison(
-    spec: Optional[HeteroComparisonSpec] = None,
-) -> HeteroComparisonReport:
-    """Run both arms on one byte-identical mixed-fleet workload."""
-    spec = spec or HeteroComparisonSpec()
-    probe = _build_fleet(spec, spec.routers[0], replan=False)
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * probe.num_gpus,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-    )
-    rows = workload_rows(workload)
-    registry = workload.rng_registry
-
-    runs: dict[str, HeteroRunResult] = {}
-    # Arm (a): routing differential, fault-free.
-    for router in spec.routers:
-        label = f"route:{router}"
-        runs[label] = run_one_cell(spec, label, router, rows, registry)
-    # Arm (b): crash differential, replan off vs on.
-    for replan in (False, True):
-        label = f"crash:{'replan' if replan else 'no-replan'}"
-        runs[label] = run_one_cell(
-            spec,
-            label,
-            spec.replan_router,
-            rows,
-            registry,
-            fault_plan=spec.fault_plan,
-            replan=replan,
+def run_hetero_comparison(base: Optional[FleetChaosSpec] = None) -> ArmSetReport:
+    """Run both arm pairs on one byte-identical mixed-fleet workload:
+    the routing pair fault-free, the crash pair replan off vs on."""
+    base = base or DEFAULT_SPEC
+    trace = generate_workload(base, build_chaos_fleet(base).num_gpus)
+    slo = fleet_slo(base)
+    arms = [
+        (f"route:{router}", replace(base, policy=router), None) for router in ROUTERS
+    ]
+    arms += [
+        (
+            f"crash:{'replan' if replan else 'no-replan'}",
+            replace(base, policy=REPLAN_ROUTER, replan=replan),
+            base.fault_plan,
         )
-    return HeteroComparisonReport(spec=spec, runs=runs)
+        for replan in (False, True)
+    ]
+    runs = {}
+    for label, spec, fault_plan in arms:
+        run = run_fleet_arm(label, spec, trace, fault_plan)
+        run.derived = _hetero_row(run, spec, fault_plan, slo)
+        runs[label] = run
+    rows = {name: run.derived for name, run in runs.items()}
+    return ArmSetReport(
+        spec=scalar_fields(base),
+        runs=runs,
+        verdicts={
+            "routing_wins": routing_wins(rows),
+            "replan_recovers": replan_recovers(rows),
+        },
+    )

@@ -36,10 +36,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
-from repro.models.registry import get_model
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import generate_trace
+from repro.harness.runner import (
+    ExperimentSpec,
+    build_system,
+    generate_workload,
+    resolve_slo,
+)
 
 BENCH_FORMAT_VERSION = 1
 
@@ -169,7 +171,6 @@ def _peak_rss_bytes() -> int:
 
 def _run_single(spec: BenchSpec, phase: BenchPhase, chaos: bool) -> dict:
     from repro.serving.instance import InstanceConfig
-    from repro.workloads.prefixes import PrefixMix
 
     exp = ExperimentSpec(
         system=phase.system,
@@ -185,16 +186,7 @@ def _run_single(spec: BenchSpec, phase: BenchPhase, chaos: bool) -> dict:
     )
     system = build_system(exp, resolve_slo(exp))
     t0 = time.perf_counter()
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=phase.rate_per_gpu * exp.gpus_used,
-        num_requests=phase.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        prefix_mix=PrefixMix.parse(phase.prefix_mix) if phase.prefix_mix else None,
-    )
+    workload = generate_workload(exp, exp.gpus_used)
     gen_wall = time.perf_counter() - t0
     if chaos:
         from repro.faults import FaultInjector, build_fault_plan
@@ -235,15 +227,7 @@ def _run_fleet(spec: BenchSpec, phase: BenchPhase) -> dict:
     )
     fleet = build_chaos_fleet(fleet_spec)
     t0 = time.perf_counter()
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=phase.rate_per_gpu * fleet.num_gpus,
-        num_requests=phase.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-    )
+    workload = generate_workload(fleet_spec, fleet.num_gpus)
     gen_wall = time.perf_counter() - t0
     t1 = time.perf_counter()
     metrics = fleet.run_to_completion(workload)

@@ -10,251 +10,104 @@ member churn through the whole prefix population (LRU thrash + one cold
 compute per member per prefix) while affinity routing partitions the
 prefixes across members and keeps each partition warm.
 
-Both runs consume byte-identical cloned workloads (the differential
-harness's ``workload_rows``/``clone_requests`` discipline) and are audited:
-request conservation, token causality, monotone timestamps, KV freed
-exactly once (after draining the caches), and the prefill-tokens-saved
-counter conserved against the per-index KV ledger.
+Each router is one fault-free arm over the same cloned workload, audited
+by :func:`~repro.serving.audit.audit_run` (which includes the
+prefill-tokens-saved ledger); a shed request is a violation too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.harness.chaos import chaos_kv_lifecycle
-from repro.harness.differential import (
-    check_conservation,
-    check_monotonic_times,
-    check_token_causality,
-    clone_requests,
-    workload_rows,
+from repro.harness.chaos import FleetChaosSpec, build_chaos_fleet, run_fleet_arm
+from repro.harness.runner import (
+    ArmRun,
+    ArmSetReport,
+    generate_workload,
+    no_shed,
+    scalar_fields,
 )
-from repro.models.registry import get_model
-from repro.serving.request import Request
-from repro.workloads.datasets import get_dataset
 from repro.workloads.prefixes import PrefixMix
-from repro.workloads.trace import generate_trace
 
 #: 8 equally-likely 512-token prefixes + 20% unshared traffic.  With the
 #: default per-member cache (4 x 512 tokens) no member can hold them all —
 #: the regime where routing locality decides the outcome.
 DEFAULT_PREFIX_MIX = PrefixMix.uniform(8, 512, none=0.2).spec_string()
 
-DEFAULT_ROUTERS = ("least-loaded", "prefix-affinity")
+ROUTERS = ("least-loaded", "prefix-affinity")
 
-
-@dataclass(frozen=True)
-class PrefixComparisonSpec:
-    """One affinity-vs-blind comparison point."""
-
-    model: str = "opt-13b"
-    dataset: str = "sharegpt"
-    rate_per_gpu: float = 3.0
-    num_requests: int = 240
-    seed: int = 0
-    num_nodes: int = 2
-    pairs_per_node: int = 2
-    prefix_mix: str = DEFAULT_PREFIX_MIX
-    #: Warm-prefix KV budget per prefill instance (tokens).
-    prefix_cache_tokens: int = 2048
-    routers: tuple[str, ...] = DEFAULT_ROUTERS
-
-    def parsed_prefix_mix(self) -> PrefixMix:
-        return PrefixMix.parse(self.prefix_mix)
-
-
-@dataclass
-class PrefixRunResult:
-    """One router's run over the shared workload."""
-
-    router: str
-    submitted: int
-    completed: int
-    mean_ttft: float
-    warm_ttft: Optional[float]  # mean TTFT of prefix-cache-hit requests
-    cold_ttft: Optional[float]  # mean TTFT of shared-prefix cache misses
-    warm_requests: int
-    cold_requests: int
-    prefix_hits: int
-    prefix_misses: int
-    prefix_hit_rate: float
-    prefix_tokens_saved: int
-    prefix_bytes_saved: int
-    prefill_tokens_computed: int
-    fingerprint: str
-    violations: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "router": self.router,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "mean_ttft": self.mean_ttft,
-            "warm_ttft": self.warm_ttft,
-            "cold_ttft": self.cold_ttft,
-            "warm_requests": self.warm_requests,
-            "cold_requests": self.cold_requests,
-            "prefix_hits": self.prefix_hits,
-            "prefix_misses": self.prefix_misses,
-            "prefix_hit_rate": self.prefix_hit_rate,
-            "prefix_tokens_saved": self.prefix_tokens_saved,
-            "prefix_bytes_saved": self.prefix_bytes_saved,
-            "prefill_tokens_computed": self.prefill_tokens_computed,
-            "fingerprint": self.fingerprint,
-            "violations": self.violations,
-        }
-
-
-@dataclass
-class PrefixComparisonReport:
-    """Both runs plus the verdict the CI smoke asserts on."""
-
-    spec: PrefixComparisonSpec
-    runs: dict[str, PrefixRunResult]
-
-    @property
-    def affinity_beats_blind(self) -> bool:
-        """Affinity wins on both mean TTFT and total prefill work."""
-        blind = self.runs.get("least-loaded")
-        affine = self.runs.get("prefix-affinity")
-        if blind is None or affine is None:
-            return False
-        return (
-            affine.mean_ttft < blind.mean_ttft
-            and affine.prefill_tokens_computed < blind.prefill_tokens_computed
-        )
-
-    @property
-    def passed(self) -> bool:
-        return all(not run.violations for run in self.runs.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "spec": {
-                "model": self.spec.model,
-                "dataset": self.spec.dataset,
-                "rate_per_gpu": self.spec.rate_per_gpu,
-                "num_requests": self.spec.num_requests,
-                "seed": self.spec.seed,
-                "num_nodes": self.spec.num_nodes,
-                "pairs_per_node": self.spec.pairs_per_node,
-                "prefix_mix": self.spec.prefix_mix,
-                "prefix_cache_tokens": self.spec.prefix_cache_tokens,
-            },
-            "runs": {name: run.as_dict() for name, run in self.runs.items()},
-            "affinity_beats_blind": self.affinity_beats_blind,
-            "passed": self.passed,
-        }
-
-
-def _build_fleet(spec: PrefixComparisonSpec, router: str):
-    from repro.core.fleet import build_windserve_fleet
-    from repro.hardware.cluster import ClusterTopology
-    from repro.serving.instance import InstanceConfig
-    from repro.serving.system import SystemConfig
-
-    cluster = ClusterTopology(num_nodes=spec.num_nodes, gpus_per_node=8)
-    config = SystemConfig(
-        model=get_model(spec.model),
-        instance=InstanceConfig(prefix_cache_tokens=spec.prefix_cache_tokens),
-    )
-    return build_windserve_fleet(
-        config, cluster, pairs_per_node=spec.pairs_per_node, policy=router
-    )
+#: The default comparison point: a 2 x 2-pair fleet, 2048-token caches.
+DEFAULT_SPEC = FleetChaosSpec(
+    fault_plan="none",
+    rate_per_gpu=3.0,
+    num_requests=240,
+    prefix_mix=DEFAULT_PREFIX_MIX,
+    prefix_cache_tokens=2048,
+)
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def _saved_tokens_conservation(fleet, metrics) -> list[str]:
-    """The prefill-tokens-saved counter must equal what the per-instance
-    prefix indexes actually served, token for token (the KV ledger side)."""
-    counter = metrics.counters.get("prefix_tokens_saved", 0)
-    served = 0
-    for member in fleet.members:
-        for instance in member.instances:
-            cache = getattr(instance, "prefix_cache", None)
-            if cache is not None:
-                served += cache.stats.tokens_served
-    if counter != served:
-        return [
-            f"prefix_tokens_saved counter ({counter}) != index ledger ({served})"
-        ]
-    return []
-
-
-def run_one_router(
-    spec: PrefixComparisonSpec, router: str, rows, rng_registry=()
-) -> PrefixRunResult:
-    """Run one router over a cloned copy of the shared workload."""
-    fleet = _build_fleet(spec, router)
-    submitted = clone_requests(rows)
-    metrics = fleet.run_to_completion(submitted)
-    completed: list[Request] = metrics.completed
-
+def _prefix_row(run: ArmRun, router: str) -> dict:
+    completed = run.metrics.completed
+    counters = run.metrics.counters
     warm = [r for r in completed if r.extra.get("prefix_cached", 0) > 0]
     cold = [
-        r
-        for r in completed
-        if r.prefix_hash and r.extra.get("prefix_cached", 0) == 0
+        r for r in completed if r.prefix_hash and r.extra.get("prefix_cached", 0) == 0
     ]
-    ttfts = [r.ttft for r in completed if r.ttft is not None]
-    hits = metrics.counters.get("prefix_hits", 0)
-    misses = metrics.counters.get("prefix_misses", 0)
-
-    violations = check_conservation(submitted, completed)
-    violations.extend(check_token_causality(completed))
-    violations.extend(check_monotonic_times(completed))
-    violations.extend(_saved_tokens_conservation(fleet, metrics))
-    # Drain every cache so the freed-exactly-once audit sees empty pools.
-    bytes_saved = 0
-    for member in fleet.members:
-        for instance in member.instances:
-            cache = getattr(instance, "prefix_cache", None)
-            if cache is not None:
-                bytes_saved += cache.bytes_saved()
-                cache.drain()
-        violations.extend(chaos_kv_lifecycle(member))
-
-    return PrefixRunResult(
-        router=router,
-        submitted=len(submitted),
-        completed=len(completed),
-        mean_ttft=_mean(ttfts) or 0.0,
-        warm_ttft=_mean([r.ttft for r in warm if r.ttft is not None]),
-        cold_ttft=_mean([r.ttft for r in cold if r.ttft is not None]),
-        warm_requests=len(warm),
-        cold_requests=len(cold),
-        prefix_hits=hits,
-        prefix_misses=misses,
-        prefix_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-        prefix_tokens_saved=metrics.counters.get("prefix_tokens_saved", 0),
-        prefix_bytes_saved=bytes_saved,
-        prefill_tokens_computed=metrics.counters.get("prefill_tokens_computed", 0),
-        fingerprint=fleet.run_fingerprint(rng_registry).value,
-    )
-
-
-def run_prefix_comparison(
-    spec: Optional[PrefixComparisonSpec] = None,
-) -> PrefixComparisonReport:
-    """Run every router in ``spec.routers`` on one byte-identical
-    shared-prefix workload and report the comparison."""
-    spec = spec or PrefixComparisonSpec()
-    probe = _build_fleet(spec, spec.routers[0])
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * probe.num_gpus,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        prefix_mix=spec.parsed_prefix_mix(),
-    )
-    rows = workload_rows(workload)
-    runs = {
-        router: run_one_router(spec, router, rows, workload.rng_registry)
-        for router in spec.routers
+    hits = counters.get("prefix_hits", 0)
+    misses = counters.get("prefix_misses", 0)
+    return {
+        "router": router,
+        "submitted": len(run.submitted),
+        "completed": len(completed),
+        "mean_ttft": _mean([r.ttft for r in completed if r.ttft is not None]) or 0.0,
+        # Mean TTFT of prefix-cache hits, and of shared-prefix misses.
+        "warm_ttft": _mean([r.ttft for r in warm if r.ttft is not None]),
+        "cold_ttft": _mean([r.ttft for r in cold if r.ttft is not None]),
+        "warm_requests": len(warm),
+        "cold_requests": len(cold),
+        "prefix_hits": hits,
+        "prefix_misses": misses,
+        "prefix_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        "prefix_tokens_saved": counters.get("prefix_tokens_saved", 0),
+        "prefix_bytes_saved": sum(
+            instance.prefix_cache.bytes_saved()
+            for member in run.target.members
+            for instance in member.instances
+            if instance.prefix_cache is not None
+        ),
+        "prefill_tokens_computed": counters.get("prefill_tokens_computed", 0),
     }
-    return PrefixComparisonReport(spec=spec, runs=runs)
+
+
+def affinity_beats_blind(rows: dict[str, dict]) -> bool:
+    """Affinity wins on both mean TTFT and total prefill work."""
+    blind, affine = rows.get("least-loaded"), rows.get("prefix-affinity")
+    if blind is None or affine is None:
+        return False
+    return (
+        affine["mean_ttft"] < blind["mean_ttft"]
+        and affine["prefill_tokens_computed"] < blind["prefill_tokens_computed"]
+    )
+
+
+def run_prefix_comparison(base: Optional[FleetChaosSpec] = None) -> ArmSetReport:
+    """Run both routers on one byte-identical shared-prefix workload."""
+    base = base or DEFAULT_SPEC
+    trace = generate_workload(base, build_chaos_fleet(base).num_gpus)
+    runs = {}
+    for router in ROUTERS:
+        run = run_fleet_arm(router, replace(base, policy=router), trace)
+        run.violations.extend(no_shed(run))
+        run.derived = _prefix_row(run, router)
+        runs[router] = run
+    rows = {name: run.derived for name, run in runs.items()}
+    return ArmSetReport(
+        spec=scalar_fields(base),
+        runs=runs,
+        verdicts={"affinity_beats_blind": affinity_beats_blind(rows)},
+    )

@@ -4,25 +4,41 @@ Follows the paper's methodology: Poisson arrivals at a *per-GPU* request
 rate (the linear scaling rule of §2.2 — total rate = per-GPU rate x GPUs
 used), a warm-up prefix excluded from metrics, and TTFT/TPOT percentiles +
 SLO attainment reported per run.
+
+It also holds the comparison kernel every differential harness shares:
+:func:`generate_workload` draws one arrival trace, ``workload_rows``
+reduces it to its defining bytes, and :func:`run_arm` runs one arm — a
+system or fleet — over freshly cloned requests, with an optional fault
+plan, then fingerprints and audits it (:func:`~repro.serving.audit.
+audit_run`).  A harness is an arm set plus verdict functions over the arms'
+derived metrics, collected in an :class:`ArmSetReport`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Optional, Sequence
 
 from repro.baselines.distserve import DistServeSystem
 from repro.baselines.vllm import VLLMSystem
 from repro.core.config import WindServeConfig
-from repro.faults.config import ResilienceConfig
+from repro.faults import (
+    FaultInjector,
+    FleetFaultInjector,
+    ResilienceConfig,
+    build_fault_plan,
+    build_fleet_fault_plan,
+)
 from repro.core.windserve import WindServeSystem
 from repro.hardware.gpu import GPUSpec, A800_80GB
 from repro.hardware.topology import NodeTopology
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
+from repro.serving.audit import audit_run
 from repro.serving.instance import InstanceConfig
 from repro.serving.metrics import SLO, MetricsCollector
 from repro.serving.placement import plan_pd_placement
+from repro.serving.request import Request
 from repro.serving.system import ServingSystem, SystemConfig
 from repro.harness.slo import derive_slo
 from repro.policies.fairshare import FairShareConfig
@@ -30,7 +46,8 @@ from repro.workloads.arrivals import TierMix
 from repro.workloads.datasets import get_dataset
 from repro.workloads.prefixes import PrefixMix
 from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import generate_trace
+from repro.sim.fingerprint import RunFingerprint, canonical_json, digest_lines
+from repro.workloads.trace import Trace, clone_requests, generate_trace
 
 SYSTEM_NAMES = (
     "windserve",
@@ -72,6 +89,9 @@ class ExperimentSpec:
     # Fair-share knobs (weights/SRPT/aging/budgets); used with
     # ``admission_policy="fair-share"``.
     fairshare: Optional[FairShareConfig] = None
+    # Named fault plan (repro.faults.plan) the chaos harness and golden
+    # runs inject through ``run_arm``; ``run_experiment`` runs fault-free.
+    fault_plan: Optional[str] = None
 
     @property
     def prefill_cfg(self) -> ParallelConfig:
@@ -165,24 +185,9 @@ def build_system(spec: ExperimentSpec, slo: Optional[SLO] = None) -> ServingSyst
 
 def run_experiment(spec: ExperimentSpec, warmup_fraction: float = 0.05) -> ExperimentResult:
     """Run one measurement point to completion and summarise it."""
-    model = get_model(spec.model)
-    dataset = get_dataset(spec.dataset)
     slo = resolve_slo(spec)
     system = build_system(spec, slo)
-    total_rate = spec.rate_per_gpu * spec.gpus_used
-    trace = generate_trace(
-        dataset,
-        rate=total_rate,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=model,
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=TierMix.parse(spec.tier_mix) if spec.tier_mix else None,
-        prefix_mix=PrefixMix.parse(spec.prefix_mix) if spec.prefix_mix else None,
-        tenant_mix=TenantMix.parse(spec.tenant_mix) if spec.tenant_mix else None,
-    )
-    metrics = system.run_to_completion(trace)
+    metrics = system.run_to_completion(generate_workload(spec, spec.gpus_used))
 
     # Exclude the cold-start prefix from percentile statistics.
     warmup = int(len(metrics.completed) * warmup_fraction)
@@ -220,3 +225,149 @@ def sweep_rates(
         run_experiment(spec.with_rate(rate), warmup_fraction=warmup_fraction)
         for rate in rates_per_gpu
     ]
+
+
+# -- the comparison kernel ------------------------------------------------------
+
+
+def generate_workload(spec, num_gpus: int) -> Trace:
+    """The arrival trace ``spec`` describes, at ``rate_per_gpu x num_gpus``.
+
+    ``spec`` is an :class:`ExperimentSpec` or a
+    :class:`~repro.harness.chaos.FleetChaosSpec`: anything with their
+    model/dataset/rate/seed/arrival fields and tier/prefix/tenant mix specs.
+    """
+    return generate_trace(
+        get_dataset(spec.dataset),
+        rate=spec.rate_per_gpu * num_gpus,
+        num_requests=spec.num_requests,
+        seed=spec.seed,
+        model=get_model(spec.model),
+        arrival_process=spec.arrival_process,
+        burstiness_cv=spec.burstiness_cv,
+        tier_mix=TierMix.parse(spec.tier_mix) if spec.tier_mix else None,
+        prefix_mix=PrefixMix.parse(spec.prefix_mix) if spec.prefix_mix else None,
+        tenant_mix=TenantMix.parse(spec.tenant_mix) if spec.tenant_mix else None,
+    )
+
+
+def rows_fingerprint(rows: Sequence[dict]) -> str:
+    """Digest of a workload's defining rows (identical bytes, identical digest)."""
+    return digest_lines(canonical_json(row) for row in rows)
+
+
+@dataclass
+class ArmRun:
+    """One arm of a comparison: its run, fingerprint and audit.
+
+    ``derived`` holds the harness's own metrics for the arm (the keys of its
+    JSON report row); the rest is common to every harness.
+    """
+
+    name: str
+    target: Any  # the ServingSystem or ServingFleet that ran
+    submitted: list[Request]
+    metrics: MetricsCollector
+    fingerprint: RunFingerprint
+    plan_events: list[dict]
+    violations: list[str]
+    derived: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def as_dict(self) -> dict:
+        return {
+            **self.derived,
+            "fingerprint": self.fingerprint.value,
+            "violations": self.violations,
+        }
+
+
+def run_arm(
+    name: str,
+    target,
+    rows: Sequence[dict],
+    fault_plan: Optional[str] = None,
+    seed: int = 0,
+    rng_registry: Sequence[str] = (),
+) -> ArmRun:
+    """Run ``target`` to completion over a fresh clone of ``rows``.
+
+    With a ``fault_plan`` name, the matching injector is armed first — a
+    :class:`~repro.faults.FleetFaultInjector` for a fleet, else a
+    :class:`~repro.faults.FaultInjector` — with the plan scaled to the
+    workload's last arrival.  The run is fingerprinted, then audited.
+    """
+    submitted = clone_requests(rows)
+    plan_events: list[dict] = []
+    if fault_plan is not None:
+        horizon = max(r.arrival_time for r in submitted)
+        if hasattr(target, "members"):
+            plan = build_fleet_fault_plan(fault_plan, horizon, seed=seed)
+            FleetFaultInjector(target, plan).arm()
+        else:
+            plan = build_fault_plan(fault_plan, horizon, seed=seed)
+            FaultInjector(target, plan).arm()
+        plan_events = plan.describe()
+    metrics = target.run_to_completion(submitted)
+    fingerprint = target.run_fingerprint(rng_registry)
+    return ArmRun(
+        name=name,
+        target=target,
+        submitted=submitted,
+        metrics=metrics,
+        fingerprint=fingerprint,
+        plan_events=plan_events,
+        violations=audit_run(target, submitted),
+    )
+
+
+def no_shed(run: ArmRun) -> list[str]:
+    """Fault-free arms under ``nested-caps`` never shed: any shed is a
+    violation there, stricter than the registry's shed-aware conservation."""
+    if run.metrics.shed:
+        ids = sorted(r.request_id for r in run.metrics.shed)
+        return [f"requests shed in a fault-free run: {ids[:5]}"]
+    return []
+
+
+def scalar_fields(*specs) -> dict:
+    """The plain (str/number/bool/None) fields of spec dataclasses, for reports."""
+    return {
+        f.name: getattr(spec, f.name)
+        for spec in specs
+        for f in fields(spec)
+        if isinstance(getattr(spec, f.name), (str, int, float, bool, type(None)))
+    }
+
+
+@dataclass
+class ArmSetReport:
+    """Every arm of one comparison plus the verdicts drawn from them.
+
+    ``passed`` needs every arm audit-clean and every verdict true.
+    """
+
+    spec: dict
+    runs: dict[str, ArmRun]
+    verdicts: dict[str, bool] = field(default_factory=dict)
+    workload_fingerprint: Optional[str] = None
+
+    @property
+    def violations(self) -> list[str]:
+        return [f"{name}: {v}" for name, run in self.runs.items() for v in run.violations]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations and all(self.verdicts.values())
+
+    def as_dict(self) -> dict:
+        out: dict = {"spec": self.spec}
+        if self.workload_fingerprint is not None:
+            out["workload_fingerprint"] = self.workload_fingerprint
+        out["runs"] = {name: run.as_dict() for name, run in self.runs.items()}
+        out.update(self.verdicts)
+        out["passed"] = self.passed
+        return out

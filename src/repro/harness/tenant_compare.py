@@ -18,55 +18,56 @@ differential harness's ``workload_rows``/``clone_requests`` discipline):
    *violated* — otherwise the experiment is not discriminating and the
    verdict says so.
 
-Every run is audited: shed-aware request conservation, per-tenant
-conservation (no request changes owner), token causality, monotone
-timestamps, a fully drained system (work conservation), and — for the
-budgeted run — the ``tenant_peak_*`` watermark counters never exceed the
-configured budgets at any sim instant.
+Every run is audited by :func:`~repro.serving.audit.audit_run`: shed-aware
+and per-tenant conservation (no request changes owner), token causality,
+monotone timestamps, a fully drained system, and — for the budgeted runs —
+the ``tenant_peak_*`` watermark counters never exceeding the configured
+budgets at any sim instant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.harness.chaos import (
-    chaos_conservation,
-    chaos_tenant_conservation,
+from repro.harness.runner import (
+    ArmRun,
+    ArmSetReport,
+    ExperimentSpec,
+    build_system,
+    generate_workload,
+    resolve_slo,
+    rows_fingerprint,
+    run_arm,
+    scalar_fields,
 )
-from repro.harness.differential import (
-    check_monotonic_times,
-    check_token_causality,
-    clone_requests,
-    workload_rows,
-)
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
 from repro.harness.slo import tier_slos
-from repro.models.registry import get_model
 from repro.policies.fairshare import FairShareConfig
-from repro.sim.fingerprint import canonical_json, digest_lines
-from repro.workloads.datasets import get_dataset
 from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import workload_rows
 
 #: The heavy tenant's name in the generated mix and the synthetic burst.
 HEAVY_TENANT = "heavy"
 
-#: Run labels (keys of ``TenantComparisonReport.runs``).
+#: Run labels (keys of the report's ``runs``).
 BASELINE_RUN = "baseline"
 FAIRSHARE_RUN = "fair-share"
 FIFO_RUN = "fifo"
 
+#: The default workload point the burst rides on.
+DEFAULT_SPEC = ExperimentSpec(
+    system="windserve",
+    model="opt-13b",
+    dataset="sharegpt",
+    rate_per_gpu=3.0,
+    num_requests=160,
+)
+
 
 @dataclass(frozen=True)
 class TenantComparisonSpec:
-    """One noisy-neighbour comparison point."""
+    """The noisy-neighbour knobs: tenant population, budgets, burst, bound."""
 
-    model: str = "opt-13b"
-    dataset: str = "sharegpt"
-    rate_per_gpu: float = 3.0
-    num_requests: int = 160
-    seed: int = 0
     #: Light tenants sharing the system with the one heavy tenant.
     num_light: int = 2
     #: Heavy tenant's share of the *base* (pre-burst) arrival mix.
@@ -114,162 +115,6 @@ class TenantComparisonSpec:
             max_inflight=self.tenant_max_inflight,
         )
 
-    def experiment(self, admission_policy: str) -> ExperimentSpec:
-        return ExperimentSpec(
-            system="windserve",
-            model=self.model,
-            dataset=self.dataset,
-            rate_per_gpu=self.rate_per_gpu,
-            num_requests=self.num_requests,
-            seed=self.seed,
-            admission_policy=admission_policy,
-            fairshare=(
-                self.fairshare() if admission_policy == "fair-share" else None
-            ),
-        )
-
-
-@dataclass
-class TenantRunResult:
-    """One admission discipline's run over the shared workload."""
-
-    name: str
-    admission: str
-    submitted: int
-    completed: int
-    shed: int
-    light_p99_ttft: float
-    light_mean_ttft: float
-    heavy_p99_ttft: float
-    budget_sheds: int
-    peak_inflight: dict[str, int]
-    tenant_report: dict
-    fingerprint: str
-    violations: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "admission": self.admission,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "light_p99_ttft": self.light_p99_ttft,
-            "light_mean_ttft": self.light_mean_ttft,
-            "heavy_p99_ttft": self.heavy_p99_ttft,
-            "budget_sheds": self.budget_sheds,
-            "peak_inflight": self.peak_inflight,
-            "tenant_report": self.tenant_report,
-            "fingerprint": self.fingerprint,
-            "violations": self.violations,
-        }
-
-
-@dataclass
-class TenantComparisonReport:
-    """All three runs plus the verdicts the CI smoke asserts on."""
-
-    spec: TenantComparisonSpec
-    workload_fingerprint: str
-    runs: dict[str, TenantRunResult]
-
-    @property
-    def isolation_holds(self) -> bool:
-        """Under fair-share, the burst stays within the isolation bound."""
-        base = self.runs.get(BASELINE_RUN)
-        fair = self.runs.get(FAIRSHARE_RUN)
-        if base is None or fair is None or not base.light_p99_ttft > 0:
-            return False
-        return (
-            fair.light_p99_ttft
-            <= self.spec.isolation_bound * base.light_p99_ttft
-        )
-
-    @property
-    def fifo_violates(self) -> bool:
-        """FIFO-within-tier breaks the same bound on the same workload.
-
-        This is the discriminating half of the experiment: if FIFO also
-        holds the bound, the point is too easy to claim fair-share earned
-        anything.
-        """
-        base = self.runs.get(BASELINE_RUN)
-        fifo = self.runs.get(FIFO_RUN)
-        if base is None or fifo is None or not base.light_p99_ttft > 0:
-            return False
-        return (
-            fifo.light_p99_ttft
-            > self.spec.isolation_bound * base.light_p99_ttft
-        )
-
-    @property
-    def fairshare_beats_fifo(self) -> bool:
-        fair = self.runs.get(FAIRSHARE_RUN)
-        fifo = self.runs.get(FIFO_RUN)
-        if fair is None or fifo is None:
-            return False
-        return fair.light_p99_ttft < fifo.light_p99_ttft
-
-    @property
-    def passed(self) -> bool:
-        """Every run's invariants held and the differential discriminated."""
-        return (
-            all(not run.violations for run in self.runs.values())
-            and self.isolation_holds
-            and self.fifo_violates
-            and self.fairshare_beats_fifo
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "spec": {
-                "model": self.spec.model,
-                "dataset": self.spec.dataset,
-                "rate_per_gpu": self.spec.rate_per_gpu,
-                "num_requests": self.spec.num_requests,
-                "seed": self.spec.seed,
-                "num_light": self.spec.num_light,
-                "heavy_share": self.spec.heavy_share,
-                "light_weight": self.spec.light_weight,
-                "tenant_max_inflight": self.spec.tenant_max_inflight,
-                "burst_requests": self.spec.burst_requests,
-                "burst_prompt_tokens": self.spec.burst_prompt_tokens,
-                "burst_output_tokens": self.spec.burst_output_tokens,
-                "isolation_bound": self.spec.isolation_bound,
-            },
-            "workload_fingerprint": self.workload_fingerprint,
-            "runs": {name: run.as_dict() for name, run in self.runs.items()},
-            "isolation_holds": self.isolation_holds,
-            "fifo_violates": self.fifo_violates,
-            "fairshare_beats_fifo": self.fairshare_beats_fifo,
-            "passed": self.passed,
-        }
-
-    def report(self) -> str:
-        spec = self.spec
-        lines = [
-            f"tenant isolation run: {spec.num_requests} base + "
-            f"{spec.burst_requests} burst requests, seed={spec.seed}, "
-            f"bound={spec.isolation_bound:g}x, "
-            f"workload {self.workload_fingerprint[:12]}"
-        ]
-        for run in self.runs.values():
-            status = "ok" if not run.violations else "VIOLATED"
-            lines.append(
-                f"  [{status}] {run.name} ({run.admission}): "
-                f"light P99 TTFT {run.light_p99_ttft:.3f}s, "
-                f"{run.completed} completed, {run.shed} shed "
-                f"({run.budget_sheds} over budget)"
-            )
-            lines.extend(f"      {v}" for v in run.violations)
-        for label, value in (
-            ("isolation holds under fair-share", self.isolation_holds),
-            ("FIFO violates the same bound", self.fifo_violates),
-            ("fair-share beats FIFO on light P99", self.fairshare_beats_fifo),
-        ):
-            lines.append(f"  [{'ok' if value else 'FAILED'}] {label}")
-        return "\n".join(lines)
-
 
 # -- workload construction ----------------------------------------------------
 
@@ -299,48 +144,7 @@ def burst_rows(spec: TenantComparisonSpec, base_rows: list[dict]) -> list[dict]:
     ]
 
 
-# -- invariants ---------------------------------------------------------------
-
-
-def check_drained(system) -> list[str]:
-    """Work conservation: the run ended with nothing stranded in a queue."""
-    problems = []
-    for instance in system.instances:
-        if instance.waiting:
-            problems.append(
-                f"{instance.name}: {len(instance.waiting)} requests stuck waiting"
-            )
-        if instance.total_running:
-            problems.append(
-                f"{instance.name}: {instance.total_running} requests stuck running"
-            )
-    return problems
-
-
-def check_budget_watermarks(system, config: FairShareConfig) -> list[str]:
-    """Budgets never exceeded at any sim instant, per the peak counters."""
-    problems = []
-    for key, peak in sorted(system.metrics.counters.items()):
-        if key.startswith("tenant_peak_inflight[") and config.max_inflight:
-            if peak > config.max_inflight:
-                problems.append(
-                    f"{key} = {peak} exceeds budget {config.max_inflight}"
-                )
-        if key.startswith("tenant_peak_tokens[") and config.max_tokens:
-            if peak > config.max_tokens:
-                problems.append(
-                    f"{key} = {peak} exceeds budget {config.max_tokens}"
-                )
-    return problems
-
-
-# -- the runner ---------------------------------------------------------------
-
-
-def _light_ttfts(completed, light: tuple[str, ...]) -> list[float]:
-    return [
-        r.ttft for r in completed if r.tenant in light and r.ttft is not None
-    ]
+# -- verdicts -----------------------------------------------------------------
 
 
 def _p99(values: list[float]) -> float:
@@ -351,98 +155,94 @@ def _p99(values: list[float]) -> float:
     return ordered[index]
 
 
-def run_one_admission(
-    spec: TenantComparisonSpec,
-    name: str,
-    admission_policy: str,
-    rows: list[dict],
-    rng_registry=(),
-) -> TenantRunResult:
-    """Run one admission discipline over a cloned copy of the workload."""
-    experiment = spec.experiment(admission_policy)
-    system = build_system(experiment, resolve_slo(experiment))
-    submitted = clone_requests(rows)
-    metrics = system.run_to_completion(submitted)
-
-    violations = chaos_conservation(submitted, metrics.completed, metrics.shed)
-    violations.extend(
-        chaos_tenant_conservation(submitted, metrics.completed, metrics.shed)
-    )
-    violations.extend(check_token_causality(metrics.completed))
-    violations.extend(check_monotonic_times(metrics.completed))
-    violations.extend(check_drained(system))
-    if admission_policy == "fair-share":
-        violations.extend(check_budget_watermarks(system, spec.fairshare()))
-
-    light = spec.light_tenants()
-    light_ttfts = _light_ttfts(metrics.completed, light)
+def _tenant_row(run: ArmRun, admission: str, light: tuple[str, ...], slo) -> dict:
+    metrics = run.metrics
+    light_ttfts = [
+        r.ttft for r in metrics.completed if r.tenant in light and r.ttft is not None
+    ]
     heavy_ttfts = [
         r.ttft
         for r in metrics.completed
         if r.tenant == HEAVY_TENANT and r.ttft is not None
     ]
-    slo = resolve_slo(experiment)
-    peak_inflight = {
-        key: value
-        for key, value in sorted(system.metrics.counters.items())
-        if key.startswith("tenant_peak_inflight[")
+    return {
+        "name": run.name,
+        "admission": admission,
+        "submitted": len(run.submitted),
+        "completed": len(metrics.completed),
+        "shed": len(metrics.shed),
+        "light_p99_ttft": _p99(light_ttfts),
+        "light_mean_ttft": sum(light_ttfts) / len(light_ttfts) if light_ttfts else 0.0,
+        "heavy_p99_ttft": _p99(heavy_ttfts),
+        "budget_sheds": metrics.counters.get("tenant_budget_shed", 0),
+        "peak_inflight": {
+            key: value
+            for key, value in sorted(metrics.counters.items())
+            if key.startswith("tenant_peak_inflight[")
+        },
+        "tenant_report": metrics.tenant_report(tier_slos(slo)),
     }
-    return TenantRunResult(
-        name=name,
-        admission=admission_policy,
-        submitted=len(submitted),
-        completed=len(metrics.completed),
-        shed=len(metrics.shed),
-        light_p99_ttft=_p99(light_ttfts),
-        light_mean_ttft=(
-            sum(light_ttfts) / len(light_ttfts) if light_ttfts else 0.0
+
+
+def tenant_verdicts(rows: dict[str, dict], bound: float) -> dict[str, bool]:
+    """The three isolation verdicts over the arms' light-tenant P99 TTFT.
+
+    ``fifo_violates`` is the discriminating half: if FIFO also holds the
+    bound, the point is too easy to claim fair-share earned anything.
+    """
+    base, fair, fifo = (rows.get(n) for n in (BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN))
+    limit = None
+    if base and base["light_p99_ttft"] > 0:
+        limit = bound * base["light_p99_ttft"]
+    return {
+        "isolation_holds": bool(fair and limit and fair["light_p99_ttft"] <= limit),
+        "fifo_violates": bool(fifo and limit and fifo["light_p99_ttft"] > limit),
+        "fairshare_beats_fifo": bool(
+            fair and fifo and fair["light_p99_ttft"] < fifo["light_p99_ttft"]
         ),
-        heavy_p99_ttft=_p99(heavy_ttfts),
-        budget_sheds=metrics.counters.get("tenant_budget_shed", 0),
-        peak_inflight=peak_inflight,
-        tenant_report=metrics.tenant_report(tier_slos(slo)),
-        fingerprint=system.run_fingerprint(rng_registry).value,
-        violations=violations,
-    )
+    }
+
+
+# -- the runner ---------------------------------------------------------------
 
 
 def run_tenant_comparison(
-    spec: Optional[TenantComparisonSpec] = None,
-) -> TenantComparisonReport:
+    spec: Optional[TenantComparisonSpec] = None, base: Optional[ExperimentSpec] = None
+) -> ArmSetReport:
     """Run the three-way noisy-neighbour comparison on one workload.
 
-    The base trace is generated once; the burst rows are appended
-    deterministically; every run receives freshly cloned request objects.
+    The base trace is generated once from ``base`` with the spec's tenant
+    mix; the burst rows are appended deterministically; every arm receives
+    freshly cloned request objects.
     """
     spec = spec or TenantComparisonSpec()
-    probe = spec.experiment("fair-share")
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * probe.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        tenant_mix=spec.tenant_mix(),
+    base = replace(base or DEFAULT_SPEC, tenant_mix=spec.tenant_mix().spec_string())
+    trace = generate_workload(base, base.gpus_used)
+    base_rows = workload_rows(trace)
+    with_burst = sorted(
+        base_rows + burst_rows(spec, base_rows),
+        key=lambda row: (row["arrival"], row["id"]),
     )
-    base_rows = workload_rows(workload)
-    burst = burst_rows(spec, base_rows)
-    with_burst = sorted(base_rows + burst, key=lambda row: (row["arrival"], row["id"]))
-
-    runs = {
-        BASELINE_RUN: run_one_admission(
-            spec, BASELINE_RUN, "fair-share", base_rows, workload.rng_registry
-        ),
-        FAIRSHARE_RUN: run_one_admission(
-            spec, FAIRSHARE_RUN, "fair-share", with_burst, workload.rng_registry
-        ),
-        FIFO_RUN: run_one_admission(
-            spec, FIFO_RUN, "nested-caps", with_burst, workload.rng_registry
-        ),
-    }
-    return TenantComparisonReport(
-        spec=spec,
-        workload_fingerprint=digest_lines(
-            canonical_json(row) for row in with_burst
-        ),
+    runs = {}
+    for name, admission, rows in (
+        (BASELINE_RUN, "fair-share", base_rows),
+        (FAIRSHARE_RUN, "fair-share", with_burst),
+        (FIFO_RUN, "nested-caps", with_burst),
+    ):
+        experiment = replace(
+            base,
+            admission_policy=admission,
+            fairshare=spec.fairshare() if admission == "fair-share" else None,
+        )
+        slo = resolve_slo(experiment)
+        system = build_system(experiment, slo)
+        run = run_arm(name, system, rows, rng_registry=trace.rng_registry)
+        run.derived = _tenant_row(run, admission, spec.light_tenants(), slo)
+        runs[name] = run
+    rows = {name: run.derived for name, run in runs.items()}
+    return ArmSetReport(
+        spec=scalar_fields(base, spec),
         runs=runs,
+        verdicts=tenant_verdicts(rows, spec.isolation_bound),
+        workload_fingerprint=rows_fingerprint(with_burst),
     )

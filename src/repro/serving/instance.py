@@ -171,11 +171,29 @@ class Instance:
     # -- construction helpers ----------------------------------------------
 
     def _build_prefix_cache(self):
+        """A prefix cache over the current pool, or None when disabled.
+
+        A rebuilt cache (recovery, reconfiguration) starts cold but keeps
+        the old index's cumulative stats, so ``tokens_served`` stays equal
+        to the instance's ``prefix_tokens_saved`` counter across rebuilds.
+        """
         if self.config.prefix_cache_tokens <= 0:
             return None
         from repro.kvcache.prefix import PrefixCacheIndex
 
-        return PrefixCacheIndex(self.kv, self.config.prefix_cache_tokens)
+        cache = PrefixCacheIndex(self.kv, self.config.prefix_cache_tokens)
+        old = getattr(self, "prefix_cache", None)
+        if old is not None:
+            cache.stats = old.stats
+        return cache
+
+    def inherit(self, old: "Instance") -> None:
+        """Take over the history of the instance this one replaces: its KV
+        ledgers (archived into ``retired_kv`` for the freed-exactly-once
+        audit) and its prefix-cache stats (for the saved-tokens ledger)."""
+        self.retired_kv.extend(old.retired_kv + [old.kv])
+        if self.prefix_cache is not None and old.prefix_cache is not None:
+            self.prefix_cache.stats = old.prefix_cache.stats
 
     def _kv_capacity_tokens(self) -> int:
         if self.config.kv_capacity_override_tokens is not None:
@@ -620,7 +638,7 @@ class Instance:
             bytes_per_token=self.spec.kv_bytes_per_token,
         )
         # The recovered instance comes back with a cold prefix cache over
-        # the fresh pool (its old stats were already folded into metrics).
+        # the fresh pool.
         self.prefix_cache = self._build_prefix_cache()
         self.lanes = [Lane(i) for i in range(self.parallel.pp)]
         self.swapped = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -78,45 +78,61 @@ class Trace:
     # -- serialisation ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        rows = []
-        for r in self.requests:
-            row = {
-                "id": r.request_id,
-                "arrival": r.arrival_time,
-                "prompt": r.prompt_tokens,
-                "output": r.output_tokens,
-            }
-            # The tier key appears only when set: tier-free trace files
-            # stay byte-identical to pre-tier recordings.
-            if r.tier != DEFAULT_TIER:
-                row["tier"] = r.tier
-            # Likewise the prefix keys: only shared-prefix requests carry them.
-            if r.prefix_len:
-                row["prefix_hash"] = r.prefix_hash
-                row["prefix_len"] = r.prefix_len
-            # And the tenant: tenant-free traces stay byte-identical.
-            if r.tenant != DEFAULT_TENANT:
-                row["tenant"] = r.tenant
-            rows.append(row)
+        rows = workload_rows(self.requests)
         Path(path).write_text(json.dumps({"name": self.name, "rate": self.rate, "rows": rows}))
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
         data = json.loads(Path(path).read_text())
-        requests = [
-            Request(
-                request_id=row["id"],
-                prompt_tokens=row["prompt"],
-                output_tokens=row["output"],
-                arrival_time=row["arrival"],
-                tier=row.get("tier", DEFAULT_TIER),
-                prefix_hash=row.get("prefix_hash", 0),
-                prefix_len=row.get("prefix_len", 0),
-                tenant=row.get("tenant", DEFAULT_TENANT),
-            )
-            for row in data["rows"]
-        ]
-        return cls(requests, rate=data.get("rate", 0.0), name=data.get("name", "trace"))
+        return cls(
+            clone_requests(data["rows"]),
+            rate=data.get("rate", 0.0),
+            name=data.get("name", "trace"),
+        )
+
+
+def workload_rows(requests: Iterable[Request]) -> list[dict]:
+    """Requests reduced to their defining bytes (trace files, workload
+    fingerprints, per-arm clones).
+
+    The tier, prefix and tenant keys appear only when a request carries a
+    non-default value, so files and digests of tier-, prefix- and
+    tenant-free workloads stay byte-identical to older recordings.
+    """
+    rows = []
+    for r in requests:
+        row = {
+            "id": r.request_id,
+            "arrival": r.arrival_time,
+            "prompt": r.prompt_tokens,
+            "output": r.output_tokens,
+        }
+        if r.tier != DEFAULT_TIER:
+            row["tier"] = r.tier
+        if r.prefix_len:
+            row["prefix_hash"] = r.prefix_hash
+            row["prefix_len"] = r.prefix_len
+        if r.tenant != DEFAULT_TENANT:
+            row["tenant"] = r.tenant
+        rows.append(row)
+    return rows
+
+
+def clone_requests(rows: Iterable[dict]) -> list[Request]:
+    """Fresh, unmutated request objects rebuilt from :func:`workload_rows`."""
+    return [
+        Request(
+            request_id=row["id"],
+            prompt_tokens=row["prompt"],
+            output_tokens=row["output"],
+            arrival_time=row["arrival"],
+            tier=row.get("tier", DEFAULT_TIER),
+            prefix_hash=row.get("prefix_hash", 0),
+            prefix_len=row.get("prefix_len", 0),
+            tenant=row.get("tenant", DEFAULT_TENANT),
+        )
+        for row in rows
+    ]
 
 
 def generate_trace(

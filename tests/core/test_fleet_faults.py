@@ -169,8 +169,8 @@ class TestDetectionWindow:
         spec = FleetChaosSpec(fault_plan="member-crash", num_requests=60)
         result = run_fleet_chaos(spec)
         assert result.passed, result.violations
-        res = result.spec.resilience or fleet_default_resilience()
-        latency = result.fleet_resilience["member_detection_latency_s"]
+        res = spec.resilience or fleet_default_resilience()
+        latency = result.derived["fleet_resilience"]["member_detection_latency_s"]
         assert latency > 0
         assert latency <= res.detection_delay_s + res.heartbeat_interval_s + 1e-9
 
@@ -198,18 +198,19 @@ class TestFleetChaosEndToEnd:
         spec = FleetChaosSpec(fault_plan="node-crash", num_requests=80)
         result = run_fleet_chaos(spec)
         assert result.passed, result.violations
-        assert result.completed + result.shed == result.submitted == 80
-        assert result.fleet_resilience["member_crashes"] == 2
-        assert result.cross_node_retries > 0
-        assert result.fleet_resilience["member_downtime_s"] > 0
+        row = result.derived
+        assert row["completed"] + row["shed"] == row["submitted"] == 80
+        assert row["fleet_resilience"]["member_crashes"] == 2
+        assert row["cross_node_retries"] > 0
+        assert row["fleet_resilience"]["member_downtime_s"] > 0
 
     def test_nic_outage_forces_transfer_retries(self):
         spec = FleetChaosSpec(fault_plan="nic-outage", num_requests=60, span_nodes=True)
         result = run_fleet_chaos(spec)
         assert result.passed, result.violations
-        assert result.resilience["transfer_retries"] > 0
+        assert result.derived["resilience"]["transfer_retries"] > 0
         # A NIC fault degrades transfers; it must not kill members.
-        assert result.fleet_resilience["member_crashes"] == 0
+        assert result.derived["fleet_resilience"]["member_crashes"] == 0
 
     def test_fleet_mixed_with_spanning_members(self):
         spec = FleetChaosSpec(
@@ -217,7 +218,8 @@ class TestFleetChaosEndToEnd:
         )
         result = run_fleet_chaos(spec)
         assert result.passed, result.violations
-        assert result.completed + result.shed == result.submitted
+        row = result.derived
+        assert row["completed"] + row["shed"] == row["submitted"]
 
     def test_correlated_node_crash_of_every_member_rejected(self):
         # With 2 nodes and spanning pairs every member touches node 1, so a
@@ -235,7 +237,7 @@ class TestStandbyPromotion:
         )
         result = run_fleet_chaos(spec)
         assert result.passed, result.violations
-        lag = result.fleet_resilience["replacement_lag_s"]
+        lag = result.derived["fleet_resilience"]["replacement_lag_s"]
         assert lag == pytest.approx(0.5, abs=1e-6)
 
     def test_promotion_records_member_replace_event(self):

@@ -110,6 +110,25 @@ class TestDiffing:
         assert "n: 4 -> 5" in message
 
 
+class TestRegistry:
+    """Every golden run goes through ``audit_run``; a violation fails it."""
+
+    def test_clean_scenario_has_no_violations(self):
+        assert run_scenario(SMALL).violations == []
+
+    def test_violation_fails_check_and_blocks_record(self, tmp_path, monkeypatch):
+        path = save_golden(run_scenario(SMALL), tmp_path)
+        monkeypatch.setattr(
+            "repro.harness.runner.audit_run", lambda target, submitted: ["injected"]
+        )
+        diff = diff_against_golden(path, run_scenario(SMALL))
+        assert diff.messages == ["invariant violated: injected"]
+        name = GOLDEN_MATRIX[0].name
+        with pytest.raises(ValueError, match="violates invariants: injected"):
+            record_goldens(tmp_path, only=[name])
+        assert not golden_path(tmp_path, name).exists()
+
+
 class TestRepoGoldens:
     """The checked-in store must match the current simulator behaviour."""
 

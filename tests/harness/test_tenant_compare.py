@@ -7,41 +7,47 @@ conservation, budget-watermark, and drained-system checks green.
 
 from __future__ import annotations
 
-from repro.harness.chaos import chaos_tenant_conservation
+from dataclasses import replace
+
+from repro.cli import main
 from repro.harness.tenant_compare import (
     BASELINE_RUN,
+    DEFAULT_SPEC,
     FAIRSHARE_RUN,
     FIFO_RUN,
     TenantComparisonSpec,
     burst_rows,
     run_tenant_comparison,
 )
+from repro.serving.audit import audit_run
 from repro.serving.metrics import MetricsCollector
-from repro.serving.request import Request
+from repro.serving.request import Phase
+from tests.serving.test_audit import finished, outcome
 
 
-def _small_spec(**overrides):
-    defaults = dict(num_requests=80, burst_requests=32, seed=0)
-    defaults.update(overrides)
-    return TenantComparisonSpec(**defaults)
+def _small_comparison(num_requests=80, burst_requests=32):
+    return run_tenant_comparison(
+        TenantComparisonSpec(burst_requests=burst_requests),
+        replace(DEFAULT_SPEC, num_requests=num_requests),
+    )
 
 
 def test_comparison_discriminates_and_keeps_invariants():
-    report = run_tenant_comparison(_small_spec())
+    report = _small_comparison()
     assert set(report.runs) == {BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN}
     for name, run in report.runs.items():
         assert not run.violations, f"{name}: {run.violations}"
-    assert report.isolation_holds, "fair-share broke the isolation bound"
-    assert report.fifo_violates, "FIFO held the bound: cell not discriminating"
-    assert report.fairshare_beats_fifo
+    assert report.verdicts["isolation_holds"], "fair-share broke the isolation bound"
+    assert report.verdicts["fifo_violates"], "FIFO held the bound: cell not discriminating"
+    assert report.verdicts["fairshare_beats_fifo"]
     assert report.passed
     # Budgets actually bit in the fair-share burst run, and never in FIFO.
-    assert report.runs[FAIRSHARE_RUN].budget_sheds > 0
-    assert report.runs[FIFO_RUN].budget_sheds == 0
+    assert report.runs[FAIRSHARE_RUN].derived["budget_sheds"] > 0
+    assert report.runs[FIFO_RUN].derived["budget_sheds"] == 0
 
 
 def test_burst_rows_are_deterministic_and_heavy_owned():
-    spec = _small_spec()
+    spec = TenantComparisonSpec(burst_requests=32)
     base = [
         {"id": i, "arrival": float(i), "prompt": 100, "output": 50}
         for i in range(10)
@@ -57,7 +63,7 @@ def test_burst_rows_are_deterministic_and_heavy_owned():
 
 
 def test_report_serialises_to_json_payload():
-    report = run_tenant_comparison(_small_spec(num_requests=40, burst_requests=16))
+    report = _small_comparison(num_requests=40, burst_requests=16)
     payload = report.as_dict()
     assert set(payload["runs"]) == {BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN}
     for run in payload["runs"].values():
@@ -65,36 +71,39 @@ def test_report_serialises_to_json_payload():
     assert isinstance(payload["passed"], bool)
 
 
-# -- chaos_tenant_conservation unit -------------------------------------------
+def test_registry_violation_fails_the_tenants_command(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "repro.harness.runner.audit_run", lambda target, submitted: ["injected"]
+    )
+    assert main(["tenants", "--smoke", "--requests", "40"]) == 1
+    assert "[VIOLATED] fifo: injected" in capsys.readouterr().err
+
+
+# -- per-tenant conservation in the registry ----------------------------------
 
 
 def _request(rid, tenant):
-    return Request(
-        request_id=rid,
-        prompt_tokens=10,
-        output_tokens=5,
-        arrival_time=0.0,
-        tenant=tenant,
-    )
+    return finished(rid, tenant=tenant)
 
 
 def test_tenant_conservation_accepts_balanced_outcomes():
     submitted = [_request(1, "a"), _request(2, "a"), _request(3, "b")]
     completed = [submitted[0], submitted[2]]
     shed = [submitted[1]]
-    assert chaos_tenant_conservation(submitted, completed, shed) == []
+    shed[0].phase = Phase.SHED
+    assert audit_run(outcome(completed, shed), submitted) == []
 
 
 def test_tenant_conservation_flags_lost_requests():
     submitted = [_request(1, "a"), _request(2, "b")]
-    problems = chaos_tenant_conservation(submitted, [submitted[0]], [])
+    problems = audit_run(outcome([submitted[0]]), submitted)
     assert any("'b' lost requests" in p for p in problems)
 
 
 def test_tenant_conservation_flags_mutated_ownership():
     submitted = [_request(1, "a")]
     mutated = _request(1, "b")
-    problems = chaos_tenant_conservation(submitted, [mutated], [])
+    problems = audit_run(outcome([mutated]), submitted)
     assert any("changed tenant" in p for p in problems)
 
 

@@ -12,6 +12,7 @@ still come out clean.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,4 +170,45 @@ def test_chaos_member_crash_with_cache_frees_kv_exactly_once():
         )
     )
     assert result.violations == []
-    assert result.completed + result.shed == result.submitted
+    row = result.derived
+    assert row["completed"] + row["shed"] == row["submitted"]
+
+
+#: The two ways a crash rebuilds a cache: the instance recovers in place,
+#: or the re-planner rebuilds the surviving member on a wider placement.
+REBUILDS = {
+    "recover": dict(num_nodes=2),
+    "replan": dict(
+        shape="a800:1:1x1+1x1,h100:1:2x1+2x1,a800:1:1x1+1x1",
+        pairs_per_node=1,
+        replan=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("rebuild", sorted(REBUILDS))
+def test_rebuilt_cache_keeps_the_saved_tokens_ledger(rebuild):
+    """A rebuilt cache starts cold but inherits the old index's cumulative
+    stats, so the ``prefix_tokens_saved`` counter still equals what the
+    indexes served (both runs used to drift by thousands of tokens)."""
+    from repro.harness.chaos import FleetChaosSpec, run_fleet_chaos
+
+    run = run_fleet_chaos(
+        FleetChaosSpec(
+            fault_plan="member-crash",
+            rate_per_gpu=3.0,
+            num_requests=120,
+            policy="prefix-affinity",
+            prefix_mix="none=0.2,p0=0.2:512,p1=0.2:512,p2=0.2:512,p3=0.2:512",
+            prefix_cache_tokens=1024,
+            **REBUILDS[rebuild],
+        )
+    )
+    instances = [i for member in run.target.members for i in member.instances]
+    assert any(i.retired_kv for i in instances)  # a cache really was rebuilt
+    counter = run.metrics.counters["prefix_tokens_saved"]
+    ledger = sum(
+        i.prefix_cache.stats.tokens_served for i in instances if i.prefix_cache
+    )
+    assert counter == ledger > 0
+    assert run.violations == []

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from repro.core.config import FleetShape
 from repro.core.fleet import build_windserve_fleet
-from repro.harness.differential import clone_requests, workload_rows
 from repro.models.registry import get_model
 from repro.policies.routing import PredictedTTFTRouting
 from repro.serving.metrics import SLO
 from repro.serving.system import SystemConfig
 from repro.workloads.datasets import SHAREGPT
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import clone_requests, generate_trace, workload_rows
 
 #: Member terms the strategy mixes.  RTX-4090 is excluded on purpose:
 #: opt-13b does not fit its 24 GB at TP-1, and construction would fail.

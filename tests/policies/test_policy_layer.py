@@ -19,15 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, ResilienceConfig, build_fault_plan
-from repro.harness.chaos import (
-    ChaosSpec,
-    FleetChaosSpec,
-    chaos_invariants,
-    run_fleet_chaos,
+from repro.faults import ResilienceConfig
+from repro.harness.chaos import FleetChaosSpec, run_fleet_chaos
+from repro.harness.runner import (
+    ExperimentSpec,
+    build_system,
+    generate_workload,
+    resolve_slo,
+    run_arm,
 )
-from repro.harness.differential import clone_requests, workload_rows
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
 from repro.models.registry import get_model
 from repro.policies import (
     ADMISSION_POLICIES,
@@ -38,11 +38,11 @@ from repro.policies import (
     policy_identity,
 )
 from repro.policies.routing import PredictedTTFTRouting, TierAwareRouting
+from repro.serving.audit import audit_run
 from repro.serving.instance import InstanceConfig
 from repro.serving.request import Request
 from repro.sim.fingerprint import RunFingerprint
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import workload_rows
 
 MODEL = get_model("opt-13b")
 
@@ -263,27 +263,20 @@ PREEMPT_KW = dict(
 
 def _run_degraded_chaos(admission_policy):
     """One tiered prefill-crash chaos run, returning (system, metrics, sent)."""
-    spec = ChaosSpec(
+    spec = ExperimentSpec(
+        model="opt-13b",
+        dataset="sharegpt",
         resilience=ResilienceConfig(degraded_inflight_limit=4),
         admission_policy=admission_policy,
         **PREEMPT_KW,
     )
-    experiment = spec.experiment()
-    system = build_system(experiment, resolve_slo(experiment))
+    system = build_system(spec, resolve_slo(spec))
     system.trace.enabled = True  # capture preempt-displace rows
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * experiment.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=MODEL,
-        tier_mix=spec.parsed_tier_mix(),
+    workload = generate_workload(spec, spec.gpus_used)
+    run = run_arm(
+        admission_policy, system, workload_rows(workload), spec.fault_plan, spec.seed
     )
-    submitted = clone_requests(workload_rows(workload))
-    horizon = max(r.arrival_time for r in submitted)
-    FaultInjector(system, build_fault_plan(spec.fault_plan, horizon, seed=spec.seed)).arm()
-    metrics = system.run_to_completion(submitted)
-    return system, metrics, submitted
+    return system, run.metrics, run.submitted
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +316,7 @@ class TestPreemptiveDisplacement:
         """Preempted requests are swapped out, not lost: both runs keep
         every chaos invariant (conservation, KV lifecycle, clean drain)."""
         for name, (system, _, submitted) in preemption_runs.items():
-            assert chaos_invariants(system, submitted) == [], name
+            assert audit_run(system, submitted) == [], name
 
     def test_preemptive_runs_carry_policy_fingerprint(self, preemption_runs):
         system, _, _ = preemption_runs["preemptive"]
@@ -359,16 +352,16 @@ class TestTierAwareFleetAcceptance:
         """The ISSUE acceptance: tier-aware routing demonstrably raises
         interactive-tier SLO attainment over least-loaded in a tiered
         member-crash fleet."""
-        base = fleet_runs["least-loaded"].tier_report["interactive"]
-        tiered = fleet_runs["tier-aware"].tier_report["interactive"]
+        base = fleet_runs["least-loaded"].derived["tier_report"]["interactive"]
+        tiered = fleet_runs["tier-aware"].derived["tier_report"]["interactive"]
         assert tiered["attainment"] > base["attainment"]
         assert tiered["goodput"] >= base["goodput"]
 
     def test_best_effort_not_sacrificed(self, fleet_runs):
         # Routing best-effort to the hot member absorbs stragglers without
         # collapsing that tier's throughput.
-        base = fleet_runs["least-loaded"].tier_report["best_effort"]
-        tiered = fleet_runs["tier-aware"].tier_report["best_effort"]
+        base = fleet_runs["least-loaded"].derived["tier_report"]["best_effort"]
+        tiered = fleet_runs["tier-aware"].derived["tier_report"]["best_effort"]
         assert tiered["completed"] + tiered["shed"] == base["completed"] + base["shed"]
         assert tiered["goodput"] >= base["goodput"]
 
