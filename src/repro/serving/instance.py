@@ -460,6 +460,8 @@ class Instance:
         return min(self.config.swap_in_free_blocks, max(1, self.kv.gpu_capacity_blocks // 20))
 
     def _try_swap_in(self) -> None:
+        if not self.swapped:
+            return
         # Drop entries whose allocation left this instance (e.g. migrated away).
         self.swapped = [r for r in self.swapped if self.kv.has(r.request_id)]
         while (

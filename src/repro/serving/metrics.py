@@ -155,7 +155,9 @@ class MetricsCollector:
     def record_batch(
         self, instance: str, duration: float, compute_time: float, io_time: float, lanes: int
     ) -> None:
-        sample = self.utilization.setdefault(instance, UtilizationSample(lanes=lanes))
+        sample = self.utilization.get(instance)
+        if sample is None:
+            sample = self.utilization[instance] = UtilizationSample(lanes=lanes)
         sample.compute_busy += compute_time
         sample.io_busy += io_time
         sample.wall_busy += duration

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.hardware import A800_80GB, NodeTopology
 from repro.models import ParallelConfig, get_model
@@ -10,6 +11,11 @@ from repro.perf import LatencyModel, StreamContentionModel
 from repro.serving import SLO, SystemConfig
 from repro.serving.instance import InstanceConfig
 from repro.sim import Simulator
+
+# Tier-1 runs Hypothesis' default budget.  ``--hypothesis-profile=deep``
+# searches much further; CI uses it on the roofline bit-equivalence
+# property.  Tests that pin ``max_examples`` themselves keep their count.
+settings.register_profile("deep", max_examples=20_000, deadline=None)
 
 
 @pytest.fixture

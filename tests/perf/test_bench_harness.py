@@ -137,3 +137,13 @@ def test_bench_5_simulates_exactly_what_bench_4_did():
     cur = json.loads((REPO_ROOT / "BENCH_5.json").read_text())
     assert [row["name"] for row in cur["phases"]] == [row["name"] for row in prev["phases"]]
     assert fingerprint_changes(prev, cur) == []
+
+
+def test_bench_6_simulates_exactly_what_bench_5_did():
+    """The compiled roofline is a pure speed change: every phase of the
+    BENCH_6 trajectory point keeps its BENCH_5 fingerprint, so the
+    bit-equivalence holds at 100k-request scale too."""
+    prev = json.loads((REPO_ROOT / "BENCH_5.json").read_text())
+    cur = json.loads((REPO_ROOT / "BENCH_6.json").read_text())
+    assert [row["name"] for row in cur["phases"]] == [row["name"] for row in prev["phases"]]
+    assert fingerprint_changes(prev, cur) == []
